@@ -14,6 +14,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/bamboo-bft/bamboo/internal/attack"
@@ -184,9 +185,12 @@ type Node struct {
 	// path), which bypass the mempool and its counters.
 	lightRejections metrics.Counter
 	events          chan any
-	stopOnce        sync.Once
-	stopCh          chan struct{}
-	doneCh          chan struct{}
+	// started records that Start launched the event loop — the only
+	// thing that closes doneCh, so Stop waits on it only then.
+	started  atomic.Bool
+	stopOnce sync.Once
+	stopCh   chan struct{}
+	doneCh   chan struct{}
 
 	statusMu sync.Mutex
 	status   Status
@@ -402,15 +406,20 @@ func (n *Node) Start() {
 		n.apply = newApplier(n, n.cfg.ApplyQueue)
 	}
 	n.pm.Start()
+	n.started.Store(true)
 	go n.run()
 }
 
 // Stop terminates the event loop, then drains the pipeline stages:
 // the verification pool is joined, and every block committed before
-// shutdown finishes executing before Stop returns.
+// shutdown finishes executing before Stop returns. On a node that was
+// never started it returns at once: there is no loop to wait for.
 func (n *Node) Stop() {
 	n.stopOnce.Do(func() {
 		close(n.stopCh)
+		if !n.started.Load() {
+			return
+		}
 		<-n.doneCh
 		n.pm.Stop()
 		if n.verif != nil {

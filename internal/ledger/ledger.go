@@ -7,13 +7,24 @@
 // (ReadRange) that serves deep state-sync requests without replaying
 // the whole file.
 //
-// The format is a sequence of length-prefixed, self-contained gob
-// records (each record carries its own type header, so a reopened
-// ledger can keep appending and a single replay can read across
-// sessions). Records persist each block's quorum certificate alongside
-// its contents, so a range served to a lagging replica is verifiable
-// as a certified chain. Appends run on the replica's commit path and
-// are synchronous but cheap; a deployment wanting group commit can use
+// The file is a sequence of records, `uvarint body length | body`, one
+// per committed block in height order. A body starts with a
+// format-version byte and a kind byte, then:
+//
+//	block record:  height (u64), block ID (32), block, certificate for
+//	               the block itself (SelfQC)
+//	marker record: height (u64) — the compacted floor; only ever the
+//	               first record of a file
+//
+// Blocks and certificates use the wire codec's field layout
+// (internal/codec), so the ledger stores exactly what a sync response
+// carries: each block travels with its embedded certificate and
+// proposer signature, which makes a range served to a lagging replica
+// verifiable as a certified chain. Records are self-contained, so a
+// reopened ledger keeps appending and one replay reads across
+// sessions. An append encodes into a buffer the ledger reuses and
+// issues one write; it runs on the replica's commit path and is
+// synchronous but cheap, and a deployment wanting group commit can use
 // OpenBuffered.
 //
 // Crash recovery follows the usual write-ahead-log rule: a truncated
@@ -21,20 +32,23 @@
 // cleanly at the last intact record and Open truncates the damaged
 // tail before appending. A record that is structurally complete but
 // fails to decode, or a broken height/parent chain, is real corruption
-// and is reported as an error.
+// and is reported as an error, as is a record whose version byte this
+// build does not know — there is no reader for older formats (no
+// ledger outlives the deployment that wrote it). A block read back is
+// served only if it hashes to the ID recorded beside it; the payload
+// commitment is re-derived from the stored payload for that check.
 package ledger
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"sync"
 
+	"github.com/bamboo-bft/bamboo/internal/codec"
 	"github.com/bamboo-bft/bamboo/internal/types"
 )
 
@@ -48,34 +62,115 @@ var (
 	ErrCompacted = errors.New("ledger: range below the compacted floor")
 )
 
-// record is one persisted block, or — when Base is set — the
-// compaction marker that heads a compacted file.
+// version is the format-version byte every record body starts with.
+const version = 1
+
+// errVersion marks a record written in a format this build does not
+// read, so the walks can report it as that and not as corruption.
+var errVersion = errors.New("unsupported format version")
+
+// maxRecord bounds a record body: no block comes near it, so a larger
+// length prefix is corruption, and it keeps such a prefix from driving
+// a giant allocation. Append refuses to write a record this bound
+// would reject on the way back in.
+const maxRecord = 1 << 30
+
+// keepBuf is the encode-buffer capacity above which an append drops
+// the buffer instead of keeping it for the next one: one oversized
+// block must not pin its high-water capacity for the life of the
+// ledger.
+const keepBuf = 1 << 20
+
+// Record kinds, the second byte of a body.
+const (
+	kindBlock  = 1
+	kindMarker = 2
+)
+
+// record is one decoded record: a persisted block, or — when block is
+// nil — the compaction marker that heads a compacted file.
 type record struct {
-	Height   uint64
-	View     types.View
-	Proposer types.NodeID
-	Parent   types.Hash
-	ID       types.Hash
-	Payload  []types.Transaction
-	// QC is the block's embedded certificate (certifying the parent);
-	// persisting it makes a read range verifiable as a certified
-	// chain. Records written before QC persistence decode with a nil
-	// QC and cannot be served to sync requesters.
-	QC *types.QC
-	// Sig is the proposer's signature over the block ID.
-	Sig []byte
-	// SelfQC is a certificate for THIS block (the one that justified
+	// height is the block's height, or for a marker the compacted
+	// floor: every height at or below it was dropped because a snapshot
+	// covers it.
+	height uint64
+	// id is the block's identity as recorded at append time.
+	id types.Hash
+	// block carries the embedded certificate (certifying the parent) and
+	// the proposer's signature, so a read range is verifiable as a
+	// certified chain. Its payload digest is left for ID() to re-derive
+	// from the payload.
+	block *types.Block
+	// selfQC is a certificate for THIS block (the one that justified
 	// committing it). Restart replay needs it for the replayed head:
 	// without a certificate in hand for the tip, a rebooted leader
 	// could only propose on top of the grandparent — stale at every
-	// peer — and the cluster would stall. Nil on records written
-	// before SelfQC persistence.
-	SelfQC *types.QC
-	// Base marks a compaction marker: the record carries no block,
-	// and Height is the compacted floor — every height at or below
-	// it was dropped because a snapshot covers it. Only valid as the
-	// first record of a file.
-	Base bool
+	// peer — and the cluster would stall. Nil when the appender had
+	// none.
+	selfQC *types.QC
+}
+
+// appendBlockRecord appends the framed record of b at height.
+func appendBlockRecord(buf []byte, b *types.Block, height uint64, selfQC *types.QC) ([]byte, error) {
+	id := b.ID()
+	n := 2 + 8 + len(id) + codec.BlockSize(b) + codec.QCSize(selfQC)
+	if n > maxRecord {
+		return buf, fmt.Errorf("ledger: %d-byte record exceeds the %d-byte limit", n, maxRecord)
+	}
+	buf = binary.AppendUvarint(buf, uint64(n))
+	body := len(buf)
+	buf = append(buf, version, kindBlock)
+	buf = binary.LittleEndian.AppendUint64(buf, height)
+	buf = append(buf, id[:]...)
+	buf = codec.AppendBlock(buf, b)
+	buf = codec.AppendQC(buf, selfQC)
+	if len(buf)-body != n {
+		// The codec's size and append functions are tested to agree; a
+		// mismatch is a codec bug, and a mis-framed record would poison
+		// every later one.
+		return buf, fmt.Errorf("ledger: internal: record sized %d, encoded %d", n, len(buf)-body)
+	}
+	return buf, nil
+}
+
+// markerFrame encodes a compaction marker for the given floor as one
+// framed record.
+func markerFrame(base uint64) []byte {
+	buf := []byte{2 + 8, version, kindMarker}
+	return binary.LittleEndian.AppendUint64(buf, base)
+}
+
+// decodeRecord parses one record body. It allocates no more than the
+// body's own length beyond the decoded structs.
+func decodeRecord(body []byte) (record, error) {
+	var rec record
+	if len(body) < 2 {
+		return rec, errors.New("short record")
+	}
+	if body[0] != version {
+		return rec, fmt.Errorf("%w %d, this build reads only version %d", errVersion, body[0], version)
+	}
+	r := codec.NewReader(body[2:])
+	rec.height = r.U64()
+	switch body[1] {
+	case kindMarker:
+	case kindBlock:
+		rec.id, rec.block, rec.selfQC = r.Hash(), r.Block(), r.QC()
+	default:
+		return rec, fmt.Errorf("unknown record kind %d", body[1])
+	}
+	if err := r.Err(); err != nil {
+		return rec, err
+	}
+	if body[1] == kindBlock {
+		if rec.block == nil {
+			return rec, errors.New("block record without a block")
+		}
+		// Recorded for the wire layout's sake only: identity checks must
+		// cover the payload that is actually here.
+		rec.block.Digest = types.Hash{}
+	}
+	return rec, nil
 }
 
 // Ledger is an append-only store of committed blocks whose prefix can
@@ -103,7 +198,9 @@ type Ledger struct {
 	// opening its descriptor: the file was append-only before
 	// compaction existed, and a swap between offset lookup and open
 	// would otherwise point the read into a rewritten file.
-	gen    uint64
+	gen uint64
+	// buf is the encode buffer, reused across appends.
+	buf    []byte
 	closed bool
 }
 
@@ -176,31 +273,20 @@ func (l *Ledger) AppendCertified(b *types.Block, height uint64, selfQC *types.QC
 	if height != l.height+1 {
 		return fmt.Errorf("ledger: non-contiguous append: height %d after %d", height, l.height)
 	}
-	rec := record{
-		Height:   height,
-		View:     b.View,
-		Proposer: b.Proposer,
-		Parent:   b.Parent,
-		ID:       b.ID(),
-		Payload:  b.Payload,
-		QC:       b.QC,
-		Sig:      b.Sig,
-		SelfQC:   selfQC,
+	buf, err := appendBlockRecord(l.buf[:0], b, height, selfQC)
+	if cap(buf) <= keepBuf {
+		l.buf = buf
+	} else {
+		l.buf = nil
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&rec); err != nil {
-		return fmt.Errorf("ledger: append: %w", err)
+	if err != nil {
+		return err
 	}
-	var lenb [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(lenb[:], uint64(buf.Len()))
-	if _, err := l.w.Write(lenb[:n]); err != nil {
-		return fmt.Errorf("ledger: append: %w", err)
-	}
-	if _, err := l.w.Write(buf.Bytes()); err != nil {
+	if _, err := l.w.Write(buf); err != nil {
 		return fmt.Errorf("ledger: append: %w", err)
 	}
 	l.offsets = append(l.offsets, l.size)
-	l.size += int64(n) + int64(buf.Len())
+	l.size += int64(len(buf))
 	l.height = height
 	return nil
 }
@@ -219,18 +305,6 @@ func (l *Ledger) Base() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.base
-}
-
-// markerFrame encodes a compaction marker for the given floor as one
-// length-prefixed frame.
-func markerFrame(base uint64) ([]byte, error) {
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(&record{Height: base, Base: true}); err != nil {
-		return nil, fmt.Errorf("ledger: marker: %w", err)
-	}
-	var lenb [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(lenb[:], uint64(body.Len()))
-	return append(lenb[:n:n], body.Bytes()...), nil
 }
 
 // CompactTo drops every record at heights at or below `to`, leaving a
@@ -255,10 +329,7 @@ func (l *Ledger) CompactTo(to uint64) error {
 	if err := l.flush(); err != nil {
 		return fmt.Errorf("ledger: flush: %w", err)
 	}
-	marker, err := markerFrame(to)
-	if err != nil {
-		return err
-	}
+	marker := markerFrame(to)
 	// Offset of the first retained record (height to+1), or end of
 	// file when everything is compacted away.
 	keepStart := l.size
@@ -306,10 +377,7 @@ func (l *Ledger) ResetTo(height uint64) error {
 	if l.closed {
 		return errors.New("ledger: closed")
 	}
-	marker, err := markerFrame(height)
-	if err != nil {
-		return err
-	}
+	marker := markerFrame(height)
 	tmp := l.path + ".compact"
 	// Sync before rename, like CompactTo: the caller just dropped (or
 	// is about to drop) the history this marker re-bases over, so the
@@ -472,47 +540,38 @@ func (l *Ledger) readRange(from, to uint64) (_ []*types.Block, raced bool, _ err
 	if _, err := f.Seek(start, io.SeekStart); err != nil {
 		return nil, false, fmt.Errorf("ledger: seek: %w", err)
 	}
-	br := bufio.NewReader(f)
+	rr := recordReader{br: bufio.NewReader(f)}
 	out := make([]*types.Block, 0, to-from+1)
 	for h := from; h <= to; h++ {
-		rec, _, status, err := readRecord(br)
+		rec, _, status, err := rr.next()
 		if status != frameOK {
 			if err == nil {
 				err = errors.New("unexpected end of file")
 			}
 			return nil, false, fmt.Errorf("ledger: read height %d: %w", h, err)
 		}
-		if rec.Height != h {
-			return nil, false, fmt.Errorf("ledger: index skew: record %d where %d expected", rec.Height, h)
+		if rec.block == nil || rec.height != h {
+			return nil, false, fmt.Errorf("ledger: index skew: record %d where %d expected", rec.height, h)
 		}
-		b, err := rec.block()
-		if err != nil {
+		if err := rec.verify(); err != nil {
 			return nil, false, fmt.Errorf("ledger: height %d: %w", h, err)
 		}
-		out = append(out, b)
+		out = append(out, rec.block)
 	}
 	return out, false, nil
 }
 
-// block reconstructs the persisted block and checks that the
-// reconstruction hashes back to the recorded identity — the cheap
+// verify checks that the persisted block is servable: it carries its
+// certificate and hashes back to the recorded identity — the cheap
 // integrity check that keeps a bit-rotted record from being served.
-func (rec *record) block() (*types.Block, error) {
-	if rec.QC == nil {
-		return nil, errors.New("record predates certificate persistence")
+func (rec *record) verify() error {
+	if rec.block.QC == nil {
+		return errors.New("record has no embedded certificate")
 	}
-	b := &types.Block{
-		View:     rec.View,
-		Proposer: rec.Proposer,
-		Parent:   rec.Parent,
-		QC:       rec.QC,
-		Payload:  rec.Payload,
-		Sig:      rec.Sig,
+	if rec.block.ID() != rec.id {
+		return errors.New("record identity mismatch")
 	}
-	if b.ID() != rec.ID {
-		return nil, errors.New("record identity mismatch")
-	}
-	return b, nil
+	return nil
 }
 
 // Replay streams the persisted chain in commit order, reconstructing
@@ -536,49 +595,41 @@ func replay(path string, fn func(b *types.Block, height uint64, selfQC *types.QC
 		return err
 	}
 	defer func() { _ = f.Close() }()
-	br := bufio.NewReader(f)
+	rr := recordReader{br: bufio.NewReader(f)}
 	var prevID types.Hash
 	var prevHeight uint64
 	first, sawMarker := true, false
 	for {
-		rec, _, status, err := readRecord(br)
+		rec, _, status, err := rr.next()
 		if status == frameEnd || status == frameTruncated {
 			return nil
 		}
 		if err != nil {
-			return fmt.Errorf("ledger: corrupt record after height %d: %w", prevHeight, err)
+			return recordError(prevHeight, err)
 		}
-		if rec.Base {
+		if rec.block == nil {
 			// Exactly one marker, leading the file — the same
 			// structure scan enforces at Open.
 			if !first || sawMarker {
 				return fmt.Errorf("ledger: compaction marker after height %d", prevHeight)
 			}
 			sawMarker = true
-			prevHeight = rec.Height
+			prevHeight = rec.height
 			continue
 		}
-		if !first && rec.Height != prevHeight+1 {
-			return fmt.Errorf("ledger: height gap: %d after %d", rec.Height, prevHeight)
+		if !first && rec.height != prevHeight+1 {
+			return fmt.Errorf("ledger: height gap: %d after %d", rec.height, prevHeight)
 		}
-		if first && prevHeight != 0 && rec.Height != prevHeight+1 {
-			return fmt.Errorf("ledger: height gap: %d after floor %d", rec.Height, prevHeight)
+		if first && prevHeight != 0 && rec.height != prevHeight+1 {
+			return fmt.Errorf("ledger: height gap: %d after floor %d", rec.height, prevHeight)
 		}
-		if !first && rec.Parent != prevID {
-			return fmt.Errorf("ledger: broken chain at height %d", rec.Height)
+		if !first && rec.block.Parent != prevID {
+			return fmt.Errorf("ledger: broken chain at height %d", rec.height)
 		}
-		b := &types.Block{
-			View:     rec.View,
-			Proposer: rec.Proposer,
-			Parent:   rec.Parent,
-			QC:       rec.QC,
-			Payload:  rec.Payload,
-			Sig:      rec.Sig,
-		}
-		if err := fn(b, rec.Height, rec.SelfQC); err != nil {
+		if err := fn(rec.block, rec.height, rec.selfQC); err != nil {
 			return err
 		}
-		prevID, prevHeight, first = rec.ID, rec.Height, false
+		prevID, prevHeight, first = rec.id, rec.height, false
 	}
 }
 
@@ -658,14 +709,30 @@ const (
 	frameCorrupt
 )
 
-// readRecord reads one length-prefixed record, reporting the frame's
-// total on-disk length. It distinguishes a clean end of stream and a
+// recordError words a record that failed to read, met after the given
+// height.
+func recordError(after uint64, err error) error {
+	if errors.Is(err, errVersion) {
+		return fmt.Errorf("ledger: record after height %d: %w", after, err)
+	}
+	return fmt.Errorf("ledger: corrupt record after height %d: %w", after, err)
+}
+
+// recordReader reads records off a file, reusing one frame buffer
+// (decoded records never alias it).
+type recordReader struct {
+	br    *bufio.Reader
+	frame []byte
+}
+
+// next reads one length-prefixed record, reporting the frame's total
+// on-disk length. It distinguishes a clean end of stream and a
 // truncated tail from real corruption.
-func readRecord(br *bufio.Reader) (rec record, n int64, status frameStatus, err error) {
-	if _, err := br.Peek(1); err == io.EOF {
+func (rr *recordReader) next() (rec record, n int64, status frameStatus, err error) {
+	if _, err := rr.br.Peek(1); err == io.EOF {
 		return rec, 0, frameEnd, nil
 	}
-	size, vn, err := readUvarintCount(br)
+	size, vn, err := readUvarintCount(rr.br)
 	if err != nil {
 		// A varint cut off by end-of-file is a torn final frame.
 		if err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) {
@@ -673,17 +740,20 @@ func readRecord(br *bufio.Reader) (rec record, n int64, status frameStatus, err 
 		}
 		return rec, 0, frameCorrupt, err
 	}
-	if size > 1<<30 {
+	if size > maxRecord {
 		return rec, 0, frameCorrupt, fmt.Errorf("implausible record size %d", size)
 	}
-	frame := make([]byte, size)
-	if _, err := io.ReadFull(br, frame); err != nil {
+	if uint64(cap(rr.frame)) < size {
+		rr.frame = make([]byte, size)
+	}
+	frame := rr.frame[:size]
+	if _, err := io.ReadFull(rr.br, frame); err != nil {
 		if err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) {
 			return rec, 0, frameTruncated, nil
 		}
 		return rec, 0, frameCorrupt, err
 	}
-	if err := gob.NewDecoder(bytes.NewReader(frame)).Decode(&rec); err != nil {
+	if rec, err = decodeRecord(frame); err != nil {
 		return rec, 0, frameCorrupt, err
 	}
 	return rec, int64(vn) + int64(size), frameOK, nil
@@ -737,11 +807,11 @@ func scan(path string) (scanResult, error) {
 		return sc, err
 	}
 	defer func() { _ = f.Close() }()
-	br := bufio.NewReader(f)
+	rr := recordReader{br: bufio.NewReader(f)}
 	var prevID types.Hash
 	first := true
 	for {
-		rec, n, status, err := readRecord(br)
+		rec, n, status, err := rr.next()
 		switch status {
 		case frameEnd:
 			return sc, nil
@@ -749,28 +819,28 @@ func scan(path string) (scanResult, error) {
 			sc.truncated = true
 			return sc, nil
 		case frameCorrupt:
-			return sc, fmt.Errorf("ledger: corrupt record after height %d: %w", sc.height, err)
+			return sc, recordError(sc.height, err)
 		}
-		if rec.Base {
+		if rec.block == nil {
 			if !first {
 				return sc, fmt.Errorf("ledger: compaction marker after height %d", sc.height)
 			}
-			sc.base = rec.Height
-			sc.height = rec.Height
+			sc.base = rec.height
+			sc.height = rec.height
 			sc.end += n
 			first = false
 			continue
 		}
-		if rec.Height != sc.height+1 {
-			return sc, fmt.Errorf("ledger: height gap: %d after %d", rec.Height, sc.height)
+		if rec.height != sc.height+1 {
+			return sc, fmt.Errorf("ledger: height gap: %d after %d", rec.height, sc.height)
 		}
-		if sc.height > sc.base && rec.Parent != prevID {
-			return sc, fmt.Errorf("ledger: broken chain at height %d", rec.Height)
+		if sc.height > sc.base && rec.block.Parent != prevID {
+			return sc, fmt.Errorf("ledger: broken chain at height %d", rec.height)
 		}
 		sc.offsets = append(sc.offsets, sc.end)
-		sc.height = rec.Height
+		sc.height = rec.height
 		sc.end += n
-		prevID = rec.ID
+		prevID = rec.id
 		first = false
 	}
 }

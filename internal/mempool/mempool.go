@@ -77,7 +77,11 @@ func New(capacity int) *Pool {
 		capacity = 1
 	}
 	return &Pool{
-		members: make(map[types.TxID]types.Transaction, capacity),
+		// No size hint: a pool is built per replica at cluster assembly,
+		// and a map pre-sized to a Table I memsize is megabytes of
+		// pointer-bearing buckets to clear there and to scan in every GC
+		// cycle after. It grows to what the load actually queues.
+		members: make(map[types.TxID]types.Transaction),
 		cap:     capacity,
 		batches: make(map[types.Hash][]types.Transaction),
 	}

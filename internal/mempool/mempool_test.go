@@ -2,6 +2,7 @@ package mempool
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -307,5 +308,22 @@ func TestRejectPolicyDefault(t *testing.T) {
 	st := p.Stats()
 	if st.Admitted != 2 || st.Queued != 0 || st.Rejected != 1 {
 		t.Fatalf("stats = %+v, want admitted 2, queued 0, rejected 1", st)
+	}
+}
+
+// TestNewDoesNotPresizeIndex: a pool of Table I capacity costs next to
+// nothing to build. Pre-sizing the membership map to capacity was
+// megabytes of buckets per replica — most of cluster assembly time and
+// a permanent addition to every GC cycle's scan.
+func TestNewDoesNotPresizeIndex(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	p := New(1 << 17)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+		t.Fatalf("New(1<<17) allocated %d bytes, want under 64 kB", got)
+	}
+	if err := p.Add(types.Transaction{ID: types.TxID{Client: 1, Seq: 1}}); err != nil {
+		t.Fatal(err)
 	}
 }

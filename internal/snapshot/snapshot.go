@@ -15,17 +15,28 @@
 // agreeing replicas is honest — and additionally verifies the quorum
 // certificate carried by the manifest, which binds the snapshot height
 // to a certified block of the real chain.
+//
+// On disk a snapshot is one file: a format-version byte, the length of
+// the header (u32), the header — height (u64), the stripped block, its
+// certificate, the state digest, with block and certificate in the
+// wire codec's field layout (internal/codec) — and then the state
+// payload, which runs to the end of the file. Keeping the payload out
+// of the header lets a save write it, and a load slice it, without a
+// copy. The file is replaced atomically (write, sync, rename); one that
+// is truncated, carries an unknown version byte, does not decode or
+// does not validate means "no snapshot", exactly like a missing file —
+// there is no reader for older formats.
 package snapshot
 
 import (
-	"bytes"
 	"crypto/sha256"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"sync"
 
+	"github.com/bamboo-bft/bamboo/internal/codec"
 	"github.com/bamboo-bft/bamboo/internal/types"
 )
 
@@ -161,15 +172,52 @@ func OpenStore(path string) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: %w", err)
 	}
-	var snap Snapshot
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
-		return st, nil
+	if snap := decodeFile(data); snap.Validate() == nil {
+		st.latest = snap
 	}
-	if snap.Validate() != nil {
-		return st, nil
-	}
-	st.latest = &snap
 	return st, nil
+}
+
+// version is the format-version byte a snapshot file starts with.
+const version = 1
+
+// prefixLen is the fixed part before the header: the version byte and
+// the header's u32 length.
+const prefixLen = 1 + 4
+
+// appendHeader appends everything of the file but the payload.
+func appendHeader(buf []byte, s *Snapshot) []byte {
+	n := 8 + codec.BlockSize(s.Block) + codec.QCSize(s.QC) + len(s.StateDigest)
+	buf = append(buf, version)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(n))
+	buf = binary.LittleEndian.AppendUint64(buf, s.Height)
+	buf = codec.AppendBlock(buf, s.Block)
+	buf = codec.AppendQC(buf, s.QC)
+	return append(buf, s.StateDigest[:]...)
+}
+
+// decodeFile parses a snapshot file, or returns nil for one that is not
+// a snapshot this build can read. The payload aliases data.
+func decodeFile(data []byte) *Snapshot {
+	if len(data) < prefixLen || data[0] != version {
+		return nil
+	}
+	n := uint64(binary.LittleEndian.Uint32(data[1:prefixLen]))
+	if n > uint64(len(data)-prefixLen) {
+		return nil
+	}
+	r := codec.NewReader(data[prefixLen : prefixLen+n])
+	snap := &Snapshot{
+		Height:      r.U64(),
+		Block:       r.Block(),
+		QC:          r.QC(),
+		StateDigest: r.Hash(),
+		Payload:     data[prefixLen+n:],
+	}
+	if r.Err() != nil {
+		return nil
+	}
+	return snap
 }
 
 // Save validates and persists the snapshot as the new latest,
@@ -181,10 +229,7 @@ func (st *Store) Save(s *Snapshot) error {
 	if err := s.Validate(); err != nil {
 		return err
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(s); err != nil {
-		return fmt.Errorf("snapshot: encode: %w", err)
-	}
+	header := appendHeader(nil, s)
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	tmp := st.path + ".tmp"
@@ -192,9 +237,11 @@ func (st *Store) Save(s *Snapshot) error {
 	if err != nil {
 		return fmt.Errorf("snapshot: %w", err)
 	}
-	if _, err := f.Write(buf.Bytes()); err != nil {
-		_ = f.Close()
-		return fmt.Errorf("snapshot: %w", err)
+	for _, part := range [][]byte{header, s.Payload} {
+		if _, err := f.Write(part); err != nil {
+			_ = f.Close()
+			return fmt.Errorf("snapshot: %w", err)
+		}
 	}
 	if err := f.Sync(); err != nil {
 		_ = f.Close()

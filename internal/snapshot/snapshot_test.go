@@ -1,6 +1,7 @@
 package snapshot
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -140,5 +141,45 @@ func TestChunkMath(t *testing.T) {
 	}
 	if Chunk(payload, 2, 3) != nil {
 		t.Fatal("out-of-range chunk not nil")
+	}
+}
+
+// TestStoreIgnoresUnreadableFiles: every proper prefix of a snapshot
+// file, and a file of another format version, reads as "no snapshot" —
+// never as a trusted state, never as an error that blocks startup.
+func TestStoreIgnoresUnreadableFiles(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "replica.snap")
+	st, err := OpenStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := testSnapshot(t, 8, []byte("some state"))
+	snap.Block.Sig = []byte{1, 2, 3}
+	if err := st.Save(snap); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bumped := append([]byte(nil), data...)
+	bumped[0] = version + 1
+	files := map[string][]byte{"another version": bumped}
+	for cut := 0; cut < len(data); cut++ {
+		files[fmt.Sprintf("cut at %d of %d", cut, len(data))] = data[:cut]
+	}
+	damaged := filepath.Join(dir, "damaged.snap")
+	for name, content := range files {
+		if err := os.WriteFile(damaged, content, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, err := OpenStore(damaged)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, _, ok := st.Latest(); ok {
+			t.Fatalf("%s: loaded as a valid snapshot", name)
+		}
 	}
 }
