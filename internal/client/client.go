@@ -4,6 +4,19 @@
 // process assumed by the Section V queuing model). Latency is measured
 // at the client end, from submission to commit confirmation, exactly
 // as the paper defines it.
+//
+// A SubmitAndWait call costs no runtime timer and no fresh channel.
+// The call takes a pooled waiter — a one-slot outcome channel plus the
+// operation's deadline — and registers it in the waiter map under its
+// TxID. Whoever removes the waiter from the map, under the client's
+// lock, is its only sender: the reply loop (committed or rejected), the
+// deadline sweeper (expired), or Stop (stopped). The caller blocks on
+// the waiter's channel alone and returns the channel to the pool once
+// it has received its outcome, so a reused waiter never sees a stale
+// one. One sweeper goroutine, started by the first call with a
+// timeout, scans the map every sweepTick; a timeout therefore resolves
+// up to one tick late. Only the rare rejection backoff arms a timer of
+// its own, and it never sleeps past the deadline.
 package client
 
 import (
@@ -34,8 +47,9 @@ type Client struct {
 	rejected  metrics.Counter
 	retries   metrics.Counter
 
-	mu      sync.Mutex
-	waiters map[types.TxID]chan bool
+	mu sync.Mutex
+	// waiters holds the closed-loop operations awaiting an outcome.
+	waiters map[types.TxID]waiter
 	// pendingOpen tracks the *intended* send times of latency-sampled
 	// open-loop transactions, resolved by the reply loop. Stamping the
 	// intended arrival instead of the actual send keeps the histogram
@@ -45,11 +59,47 @@ type Client struct {
 	seq         uint64
 	// fanout broadcasts each transaction to every replica.
 	fanout bool
+	// openLoop records that RunOpenLoop ran: a reply that resolves no
+	// waiter is then an unsampled open-loop commit, not a late reply
+	// to an operation that already expired.
+	openLoop bool
+	// sweeping records that the deadline sweeper has started; closed,
+	// that Stop has begun and no waiter may be registered.
+	sweeping bool
+	closed   bool
 
 	stopCh   chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
 }
+
+// outcome is how an operation's wait ended.
+type outcome uint8
+
+const (
+	outCommitted outcome = iota
+	outRejected
+	outExpired
+	outStopped
+)
+
+// waiter is one registered operation: the channel its single outcome
+// arrives on (capacity one, so the sender never blocks) and its
+// deadline in nanoseconds since epoch (0: none).
+type waiter struct {
+	ch       chan outcome
+	deadline int64
+}
+
+// waiterChans recycles outcome channels across operations.
+var waiterChans = sync.Pool{New: func() any { return make(chan outcome, 1) }}
+
+// epoch anchors waiter deadlines on the monotonic clock.
+var epoch = time.Now()
+
+// sweepTick is how often the sweeper expires overdue waiters, and so
+// the most a timeout can resolve late.
+const sweepTick = 5 * time.Millisecond
 
 // New creates a client on the given endpoint. n is the number of
 // replicas (targets are drawn uniformly, like the paper's clients);
@@ -63,7 +113,7 @@ func New(ep network.Transport, n, payloadSize int, seed int64) *Client {
 		rng:         rand.New(rand.NewSource(seed)),
 		gen:         workload.NewNoop(payloadSize),
 		latency:     &metrics.Latency{},
-		waiters:     make(map[types.TxID]chan bool),
+		waiters:     make(map[types.TxID]waiter),
 		pendingOpen: make(map[types.TxID]time.Time),
 		stopCh:      make(chan struct{}),
 	}
@@ -100,42 +150,52 @@ func (c *Client) replyLoop() {
 			if !ok {
 				continue
 			}
-			c.mu.Lock()
-			ch, found := c.waiters[reply.TxID]
-			if found {
-				delete(c.waiters, reply.TxID)
-			}
-			submitted, sampled := c.pendingOpen[reply.TxID]
-			if sampled {
-				delete(c.pendingOpen, reply.TxID)
-			}
-			fanout := c.fanout
-			c.mu.Unlock()
-			if found {
-				ch <- !reply.Rejected
-			}
-			if reply.Rejected {
-				// Count each rejection that resolves a tracked
-				// transaction once here (fanout duplicates resolve
-				// nothing and are not double counted).
-				if found || sampled {
-					c.rejected.Add(1)
-				}
-			} else {
-				if sampled {
-					c.latency.Record(time.Since(submitted))
-				}
-				// Every commit reply is one committed transaction —
-				// including unsampled open-loop ones, so per-client
-				// throughput (the fairness input) counts all commits,
-				// not just the latency sample. Under fanout the same
-				// transaction draws up to n replies, so only the one
-				// resolving a tracked entry counts.
-				if found || sampled || !fanout {
-					c.committed.Add(1)
-				}
-			}
+			c.resolve(reply)
 		}
+	}
+}
+
+// resolve settles the waiter or open-loop sample a reply belongs to and
+// counts the outcome. Counting happens before the waiter is woken, so a
+// caller that saw true also sees its commit in Committed.
+func (c *Client) resolve(reply types.ReplyMsg) {
+	c.mu.Lock()
+	w, found := c.waiters[reply.TxID]
+	if found {
+		delete(c.waiters, reply.TxID)
+	}
+	submitted, sampled := c.pendingOpen[reply.TxID]
+	if sampled {
+		delete(c.pendingOpen, reply.TxID)
+	}
+	countUntracked := c.openLoop && !c.fanout
+	c.mu.Unlock()
+	if reply.Rejected {
+		// Count each rejection that resolves a tracked transaction once
+		// here (fanout duplicates resolve nothing and are not double
+		// counted).
+		if found || sampled {
+			c.rejected.Add(1)
+		}
+		if found {
+			w.ch <- outRejected
+		}
+		return
+	}
+	if sampled {
+		c.latency.Record(time.Since(submitted))
+	}
+	// Every commit reply that resolves a waiter or a sample is one
+	// committed transaction, and so is a reply to an unsampled open-loop
+	// transaction — per-client throughput (the fairness input) counts
+	// all commits, not just the latency sample. A reply that resolves
+	// nothing otherwise is a fanout duplicate or arrived after its
+	// operation expired or was stopped, and is not counted.
+	if found || sampled || countUntracked {
+		c.committed.Add(1)
+	}
+	if found {
+		w.ch <- outCommitted
 	}
 }
 
@@ -153,8 +213,8 @@ func (c *Client) SetWorkload(g workload.Generator) {
 }
 
 // nextTx builds a fresh benchmark transaction from the workload
-// generator.
-func (c *Client) nextTx() types.Transaction {
+// generator, stamped as submitted at now.
+func (c *Client) nextTx(now time.Time) types.Transaction {
 	c.mu.Lock()
 	c.seq++
 	seq := c.seq
@@ -163,7 +223,7 @@ func (c *Client) nextTx() types.Transaction {
 	return types.Transaction{
 		ID:             types.TxID{Client: c.id, Seq: seq},
 		Command:        gen.Next(),
-		SubmitUnixNano: time.Now().UnixNano(),
+		SubmitUnixNano: now.UnixNano(),
 	}
 }
 
@@ -184,21 +244,55 @@ func (c *Client) SetFanout(all bool) {
 	c.mu.Unlock()
 }
 
-// submit registers a waiter and sends the transaction.
-func (c *Client) submit(tx types.Transaction) chan bool {
-	ch := make(chan bool, 1)
+// submit registers w under the transaction's ID and sends it. It
+// returns false, sending nothing, once Stop has begun.
+func (c *Client) submit(tx types.Transaction, w waiter) bool {
 	c.mu.Lock()
-	c.waiters[tx.ID] = ch
+	if c.closed {
+		c.mu.Unlock()
+		return false
+	}
+	c.waiters[tx.ID] = w
+	if w.deadline != 0 && !c.sweeping {
+		c.sweeping = true
+		c.wg.Add(1)
+		go c.sweep()
+	}
 	fanout := c.fanout
 	c.mu.Unlock()
 	if fanout {
 		for id := 1; id <= c.n; id++ {
 			c.ep.Send(types.NodeID(id), types.RequestMsg{Tx: tx})
 		}
-		return ch
+		return true
 	}
 	c.ep.Send(c.pickReplica(), types.RequestMsg{Tx: tx})
-	return ch
+	return true
+}
+
+// sweep expires overdue waiters every sweepTick until Stop.
+func (c *Client) sweep() {
+	defer c.wg.Done()
+	tick := time.NewTicker(sweepTick)
+	defer tick.Stop()
+	for {
+		select {
+		case <-c.stopCh:
+			return
+		case <-tick.C:
+		}
+		now := int64(time.Since(epoch))
+		c.mu.Lock()
+		// The sends below cannot block: the channel has one slot and
+		// the goroutine that removes a waiter is its only sender.
+		for id, w := range c.waiters {
+			if w.deadline != 0 && w.deadline <= now {
+				delete(c.waiters, id)
+				w.ch <- outExpired
+			}
+		}
+		c.mu.Unlock()
+	}
 }
 
 // Retry policy for admission rejections: a rejected transaction is
@@ -212,59 +306,63 @@ const (
 )
 
 // SubmitAndWait issues one transaction and blocks until it commits,
-// the timeout passes, or the client stops. A pool rejection is retried
-// with exponential backoff (the same transaction, resubmitted) up to
-// submitMaxRetries times; the recorded latency spans the whole
-// operation including backoff, so admission control's client-side cost
-// is visible in the histogram. It returns true on commit.
+// the timeout passes (resolved by the sweeper, up to one sweepTick
+// late), or the client stops; timeout <= 0 waits without a deadline. A
+// pool rejection is retried with exponential backoff (the same
+// transaction, resubmitted) up to submitMaxRetries times, within the
+// same deadline; the recorded latency spans the whole operation
+// including backoff, so admission control's client-side cost is
+// visible in the histogram. It returns true on commit.
 func (c *Client) SubmitAndWait(timeout time.Duration) bool {
-	tx := c.nextTx()
 	start := time.Now()
-	var timer *time.Timer
-	var timeoutCh <-chan time.Time
+	tx := c.nextTx(start)
+	w := waiter{ch: waiterChans.Get().(chan outcome)}
+	// The channel is empty whenever the call returns: every path below
+	// either received the single outcome or never registered the waiter.
+	defer waiterChans.Put(w.ch)
 	if timeout > 0 {
-		timer = time.NewTimer(timeout)
-		defer timer.Stop()
-		timeoutCh = timer.C
+		w.deadline = int64(start.Sub(epoch) + timeout)
 	}
 	backoff := submitBaseBackoff
 	for attempt := 0; ; attempt++ {
-		ch := c.submit(tx)
-		select {
-		case ok := <-ch:
-			if ok {
-				// Committed was counted by the reply loop; only the
-				// whole-operation latency (including backoff spent on
-				// retries) is recorded here.
-				c.latency.Record(time.Since(start))
-				return true
-			}
+		if !c.submit(tx, w) {
+			return false
+		}
+		switch <-w.ch {
+		case outCommitted:
+			// Committed was counted by the reply loop; only the
+			// whole-operation latency (including backoff spent on
+			// retries) is recorded here.
+			c.latency.Record(time.Since(start))
+			return true
+		case outRejected:
 			// Rejected (counted by the reply loop). Back off and
-			// resubmit unless the retry budget is spent.
-			if attempt >= submitMaxRetries {
-				return false
-			}
-			wait := time.NewTimer(backoff)
-			select {
-			case <-wait.C:
-			case <-timeoutCh:
-				wait.Stop()
-				return false
-			case <-c.stopCh:
-				wait.Stop()
+			// resubmit unless the retry budget or the deadline is spent.
+			if attempt >= submitMaxRetries || !c.backOff(backoff, w.deadline) {
 				return false
 			}
 			if backoff *= 2; backoff > submitBackoffLimit {
 				backoff = submitBackoffLimit
 			}
 			c.retries.Add(1)
-			continue
-		case <-timeoutCh:
-		case <-c.stopCh:
+		default: // expired or stopped
+			return false
 		}
-		c.mu.Lock()
-		delete(c.waiters, tx.ID)
-		c.mu.Unlock()
+	}
+}
+
+// backOff sleeps d before a resubmission, and reports false instead
+// when the deadline (0: none) would pass first or the client stops.
+func (c *Client) backOff(d time.Duration, deadline int64) bool {
+	if deadline != 0 && int64(time.Since(epoch)+d) >= deadline {
+		return false
+	}
+	wait := time.NewTimer(d)
+	defer wait.Stop()
+	select {
+	case <-wait.C:
+		return true
+	case <-c.stopCh:
 		return false
 	}
 }
@@ -320,6 +418,9 @@ func (c *Client) RunOpenLoop(rate float64) {
 	if rate <= 0 {
 		return
 	}
+	c.mu.Lock()
+	c.openLoop = true
+	c.mu.Unlock()
 	const tick = 2 * time.Millisecond
 	sampleEvery := uint64(rate / 2000)
 	if sampleEvery < 1 {
@@ -345,7 +446,7 @@ func (c *Client) RunOpenLoop(rate float64) {
 			mean := rate * window.Seconds()
 			n := c.poisson(mean)
 			for i := 0; i < n; i++ {
-				tx := c.nextTx()
+				tx := c.nextTx(time.Now())
 				if tx.ID.Seq%sampleEvery == 0 {
 					// Conditioned on n arrivals, Poisson arrival
 					// times are uniform order statistics over the
@@ -392,9 +493,18 @@ func (c *Client) poisson(mean float64) int {
 	return n
 }
 
-// Stop terminates workers and the reply loop.
+// Stop terminates workers, the reply loop and the sweeper. Every
+// operation still waiting resolves at once as stopped (SubmitAndWait
+// returns false), and no new one registers.
 func (c *Client) Stop() {
 	c.stopOnce.Do(func() {
+		c.mu.Lock()
+		c.closed = true
+		for id, w := range c.waiters {
+			delete(c.waiters, id)
+			w.ch <- outStopped
+		}
+		c.mu.Unlock()
 		close(c.stopCh)
 		c.wg.Wait()
 		_ = c.ep.Close()

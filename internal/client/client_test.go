@@ -1,7 +1,11 @@
 package client
 
 import (
+	"math/rand"
+	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -10,7 +14,7 @@ import (
 )
 
 // fakeReplica echoes commit replies for every request, optionally
-// rejecting, after an artificial service delay.
+// rejecting, after an artificial service delay (none: inline).
 type fakeReplica struct {
 	ep      network.Transport
 	delay   time.Duration
@@ -21,7 +25,7 @@ type fakeReplica struct {
 	stopped sync.Once
 }
 
-func newFakeReplica(t *testing.T, sw *network.Switch, id types.NodeID, delay time.Duration, reject bool) *fakeReplica {
+func newFakeReplica(t testing.TB, sw *network.Switch, id types.NodeID, delay time.Duration, reject bool) *fakeReplica {
 	t.Helper()
 	ep, err := sw.Join(id)
 	if err != nil {
@@ -50,6 +54,10 @@ func (f *fakeReplica) run() {
 			f.seen++
 			f.mu.Unlock()
 			from := env.From
+			if f.delay == 0 {
+				f.ep.Send(from, types.ReplyMsg{TxID: req.Tx.ID, View: 1, Rejected: f.reject})
+				continue
+			}
 			time.AfterFunc(f.delay, func() {
 				f.ep.Send(from, types.ReplyMsg{TxID: req.Tx.ID, View: 1, Rejected: f.reject})
 			})
@@ -65,7 +73,7 @@ func (f *fakeReplica) count() int {
 
 func (f *fakeReplica) stop() { f.stopped.Do(func() { close(f.stopCh) }) }
 
-func newClient(t *testing.T, sw *network.Switch, n int) *Client {
+func newClient(t testing.TB, sw *network.Switch, n int) *Client {
 	t.Helper()
 	ep, err := sw.JoinClient(10001)
 	if err != nil {
@@ -214,4 +222,138 @@ func TestStopIsIdempotent(t *testing.T) {
 	c := newClient(t, sw, 1)
 	c.Stop()
 	c.Stop()
+}
+
+// TestStopReleasesBlockedSubmit: Stop resolves an operation that has no
+// deadline and no reply coming, promptly.
+func TestStopReleasesBlockedSubmit(t *testing.T) {
+	sw := network.NewSwitch(nil)
+	newFakeReplica(t, sw, 1, time.Hour, false) // never answers in time
+	c := newClient(t, sw, 1)
+	returned := make(chan bool)
+	go func() { returned <- c.SubmitAndWait(0) }()
+	time.Sleep(50 * time.Millisecond)
+	stopped := time.Now()
+	c.Stop()
+	select {
+	case ok := <-returned:
+		if ok {
+			t.Fatal("stopped operation reported as committed")
+		}
+		if d := time.Since(stopped); d > 100*time.Millisecond {
+			t.Fatalf("SubmitAndWait returned %v after Stop", d)
+		}
+	case <-time.After(100 * time.Millisecond):
+		t.Fatal("Stop did not release a blocked SubmitAndWait within 100ms")
+	}
+	if c.SubmitAndWait(time.Second) {
+		t.Fatal("operation after Stop reported as committed")
+	}
+}
+
+// TestReplySweepStopRace races the three ways a waiter resolves —
+// reply, deadline sweep, Stop — over thousands of calls whose timeouts
+// straddle the replica's service time. Every call must return exactly
+// once, every true return must be one counted commit, no pooled waiter
+// may hold a stale outcome, and no client goroutine may outlive Stop.
+func TestReplySweepStopRace(t *testing.T) {
+	sw := network.NewSwitch(nil)
+	newFakeReplica(t, sw, 1, 4*time.Millisecond, false)
+	c := newClient(t, sw, 1)
+	const workers, calls = 16, 250
+	var returns, commits atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < calls; i++ {
+				// 1–20 ms against a 4 ms service time: some calls
+				// commit, some expire with their reply still in
+				// flight, and the reply then finds no waiter.
+				if c.SubmitAndWait(time.Duration(1+rng.Intn(20)) * time.Millisecond) {
+					commits.Add(1)
+				}
+				returns.Add(1)
+			}
+		}(int64(w))
+	}
+	// Stop while calls are in flight.
+	for returns.Load() < workers*calls*3/4 {
+		time.Sleep(time.Millisecond)
+	}
+	c.Stop()
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%d of %d calls returned", returns.Load(), workers*calls)
+	}
+	if got := returns.Load(); got != workers*calls {
+		t.Fatalf("%d returns for %d calls", got, workers*calls)
+	}
+	if got, want := c.Committed(), uint64(commits.Load()); got != want {
+		t.Fatalf("Committed() = %d, true returns = %d", got, want)
+	}
+	if commits.Load() == 0 || commits.Load() == workers*calls {
+		t.Fatalf("%d of %d calls committed: the timeouts did not straddle the service time",
+			commits.Load(), workers*calls)
+	}
+	c.mu.Lock()
+	left := len(c.waiters)
+	c.mu.Unlock()
+	if left != 0 {
+		t.Fatalf("%d waiters left registered after Stop", left)
+	}
+	for i := 0; i < 64; i++ {
+		if ch := waiterChans.Get().(chan outcome); len(ch) != 0 {
+			t.Fatal("a pooled waiter holds a stale outcome")
+		}
+	}
+	if stacks := clientGoroutines(); len(stacks) != 0 {
+		t.Fatalf("%d client goroutines survived Stop; first:\n%s", len(stacks), stacks[0])
+	}
+}
+
+// clientGoroutines lists the stacks of goroutines still running client
+// code (reply loop, sweeper, closed-loop workers), polling briefly.
+func clientGoroutines() []string {
+	deadline := time.Now().Add(time.Second)
+	for {
+		var found []string
+		buf := make([]byte, 1<<20)
+		n := runtime.Stack(buf, true)
+		for _, stack := range strings.Split(string(buf[:n]), "\n\n") {
+			if strings.Contains(stack, "client.(*Client).") {
+				found = append(found, stack)
+			}
+		}
+		if len(found) == 0 || time.Now().After(deadline) {
+			return found
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// BenchmarkSubmitAndWait measures one closed-loop operation against an
+// echo replica on a zero-delay switch: register, send, reply, wake.
+// CI gates its allocs/op against a committed constant (ns/op is
+// printed, not gated).
+func BenchmarkSubmitAndWait(b *testing.B) {
+	sw := network.NewSwitch(nil)
+	defer sw.Close()
+	newFakeReplica(b, sw, 1, 0, false)
+	c := newClient(b, sw, 1)
+	if !c.SubmitAndWait(time.Second) {
+		b.Fatal("no commit reply")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !c.SubmitAndWait(time.Second) {
+			b.Fatal("no commit reply")
+		}
+	}
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -190,4 +192,79 @@ func TestStopIsIdempotentAndSubmitAfterStop(t *testing.T) {
 	n.Stop()
 	n.Stop()                                                       // second stop: no deadlock
 	n.Submit(types.Transaction{ID: types.TxID{Client: 1, Seq: 1}}) // no panic
+}
+
+// selfSendRecorder wraps a transport and counts the messages its node
+// addresses to itself.
+type selfSendRecorder struct {
+	network.Transport
+	selfSends atomic.Int64
+}
+
+func (r *selfSendRecorder) Send(to types.NodeID, msg any) {
+	if to == r.Self() {
+		r.selfSends.Add(1)
+	}
+	r.Transport.Send(to, msg)
+}
+
+// TestSelfSubmittedTxNoSelfReply: transactions a replica submits itself
+// (the HTTP API's path) commit, and no replica ever sends itself a
+// message — in particular no ReplyMsg for its own submissions, which
+// commit listeners answer instead.
+func TestSelfSubmittedTxNoSelfReply(t *testing.T) {
+	cfg := testCfg()
+	sw := network.NewSwitch(nil)
+	defer sw.Close()
+	recs := make(map[types.NodeID]*selfSendRecorder, cfg.N)
+	transports := make(map[types.NodeID]network.Transport, cfg.N)
+	for i := 1; i <= cfg.N; i++ {
+		id := types.NodeID(i)
+		ep, err := sw.Join(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs[id] = &selfSendRecorder{Transport: ep}
+		transports[id] = recs[id]
+	}
+	nodes := buildNodes(t, cfg, transports)
+	var mu sync.Mutex
+	committed := make(map[types.TxID]bool)
+	nodes[0].AddCommitListener(func(_ types.View, _ types.Hash, txs []types.Transaction) {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, tx := range txs {
+			committed[tx.ID] = true
+		}
+	})
+	for _, n := range nodes {
+		n.Start()
+	}
+	defer func() {
+		for _, n := range nodes {
+			n.Stop()
+		}
+	}()
+	const count = 30
+	for i := 0; i < count; i++ {
+		nodes[0].Submit(types.Transaction{ID: types.TxID{Client: 500, Seq: uint64(i + 1)}})
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		mu.Lock()
+		n := len(committed)
+		mu.Unlock()
+		if n == count {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d self-submitted transactions committed", n, count)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	for id, r := range recs {
+		if got := r.selfSends.Load(); got != 0 {
+			t.Errorf("replica %s sent %d messages to itself", id, got)
+		}
+	}
 }

@@ -570,11 +570,17 @@ func (n *Node) commit(target *types.Block) {
 			txID := cb.Payload[i].ID
 			if client, ok := n.owned[txID]; ok {
 				delete(n.owned, txID)
-				n.net.Send(client, types.ReplyMsg{
-					TxID:    txID,
-					View:    cb.View,
-					BlockID: cb.ID(),
-				})
+				// A transaction this replica submitted itself (Submit,
+				// the HTTP API's path) is answered by the commit
+				// listeners above; a ReplyMsg to self would only cost a
+				// loopback frame on TCP and be dropped by route.
+				if client != n.id {
+					n.net.Send(client, types.ReplyMsg{
+						TxID:    txID,
+						View:    cb.View,
+						BlockID: cb.ID(),
+					})
+				}
 				replied = true
 			}
 		}

@@ -10,13 +10,16 @@ import (
 
 // Conditioned wraps a Transport with the same Conditions model the
 // in-process switch enforces, so a declared fault schedule means the
-// same thing over real sockets as it does in simulation: every
-// outgoing message's fate is judged at send time (partition and crash
-// drops, random loss, modeled delay), and incoming traffic is
-// discarded while the local node is crashed — mirroring the switch's
-// delivery-time crash re-check. The wrapper leaves the wire format and
-// the underlying transport untouched; it only decides which messages
-// reach it, and when.
+// same thing over real sockets as it does in simulation. Every
+// outgoing message is judged at send time (partition and crash drops,
+// random loss, modeled delay). A delayed message waits in the shim's
+// own delivery scheduler — the switch's deadline heap, one goroutine
+// and one timer per shim, started by the first delayed send — and is
+// re-checked at its deadline, so a destination that crashed while it
+// was in flight gets nothing, as on the switch. Incoming traffic is
+// discarded while the local node is crashed. The wrapper leaves the
+// wire format and the underlying transport untouched; it only decides
+// which messages reach it, and when.
 type Conditioned struct {
 	inner Transport
 	cond  *Conditions
@@ -26,6 +29,8 @@ type Conditioned struct {
 	out      chan Envelope
 	done     chan struct{}
 	wg       sync.WaitGroup
+	// sched holds delayed sends until their deadlines.
+	sched *scheduler
 
 	closeOnce sync.Once
 	dropped   metrics.Counter
@@ -40,6 +45,7 @@ func Condition(inner Transport, cond *Conditions, replicas []types.NodeID) *Cond
 		out:      make(chan Envelope, inboxCapacity),
 		done:     make(chan struct{}),
 	}
+	c.sched = newScheduler(c.sendDue)
 	c.wg.Add(1)
 	go c.pump()
 	return c
@@ -49,9 +55,11 @@ func Condition(inner Transport, cond *Conditions, replicas []types.NodeID) *Cond
 func (c *Conditioned) Self() types.NodeID { return c.inner.Self() }
 
 // Send implements Transport, judging the message against the condition
-// model before it reaches the wire.
+// model before it reaches the wire. One clock reading serves both the
+// judgement and the deadline.
 func (c *Conditioned) Send(to types.NodeID, msg any) {
-	v := c.cond.judge(c.inner.Self(), to, messageSize(msg), time.Now())
+	now := time.Now()
+	v := c.cond.judge(c.inner.Self(), to, messageSize(msg), now)
 	if v.drop {
 		c.dropped.Add(1)
 		return
@@ -60,24 +68,18 @@ func (c *Conditioned) Send(to types.NodeID, msg any) {
 		c.inner.Send(to, msg)
 		return
 	}
-	// One timer per delayed message. Unlike the switch there is no
-	// deadline-heap scheduler here: conditioned-TCP runs are scenario
-	// scale, where timer pressure is irrelevant; saturation studies
-	// with modeled delay belong on the switch.
-	time.AfterFunc(v.delay, func() {
-		select {
-		case <-c.done:
-			return
-		default:
-		}
-		// Crash re-check at delivery time, like the switch's
-		// scheduler: a node that crashed mid-flight gets nothing.
-		if c.cond.IsCrashed(to) {
-			c.dropped.Add(1)
-			return
-		}
-		c.inner.Send(to, msg)
-	})
+	c.sched.schedule(delivery{at: now.Add(v.delay), to: to, msg: msg})
+}
+
+// sendDue hands a delayed message to the wire at its deadline. Crash
+// state is re-checked here, like the switch's delivery-time check: a
+// node that crashed mid-flight gets nothing.
+func (c *Conditioned) sendDue(d delivery) {
+	if c.cond.IsCrashed(d.to) {
+		c.dropped.Add(1)
+		return
+	}
+	c.inner.Send(d.to, d.msg)
 }
 
 // Broadcast implements Transport, judging each destination separately
@@ -133,12 +135,14 @@ func (c *Conditioned) Stats() TransportStats {
 	return s
 }
 
-// Close implements Transport: it closes the underlying transport and
+// Close implements Transport: it stops the delay scheduler (pending
+// delayed sends are dropped), closes the underlying transport, and
 // joins the filter goroutine. Safe to call more than once.
 func (c *Conditioned) Close() error {
 	var err error
 	c.closeOnce.Do(func() {
 		close(c.done)
+		c.sched.stop()
 		err = c.inner.Close()
 		c.wg.Wait()
 	})

@@ -134,3 +134,68 @@ func TestConditionedDelayApplies(t *testing.T) {
 	cond.SetNodeDelay(1, 0, 0)
 	deliver(t, cb, 5, func() { ca.Broadcast(types.QueryMsg{Height: 5}) })
 }
+
+// TestConditionedDeliversInDeadlineOrder: delayed sends leave the shim
+// by deadline, not by send order — a slow message scheduled first is
+// overtaken by a fast one scheduled after it.
+func TestConditionedDeliversInDeadlineOrder(t *testing.T) {
+	ca, cb, cond := newConditionedPair(t)
+	deliver(t, cb, 1, func() { ca.Send(2, types.QueryMsg{Height: 1}) })
+
+	cond.SetNodeDelay(1, 120*time.Millisecond, 0)
+	ca.Send(2, types.QueryMsg{Height: 2})
+	cond.SetNodeDelay(1, 10*time.Millisecond, 0)
+	ca.Send(2, types.QueryMsg{Height: 3})
+	var order []uint64
+	timeout := time.After(5 * time.Second)
+	for len(order) < 2 {
+		select {
+		case env := <-cb.Inbox():
+			if q, ok := env.Msg.(types.QueryMsg); ok && q.Height > 1 {
+				order = append(order, q.Height)
+			}
+		case <-timeout:
+			t.Fatalf("received %v, want both delayed messages", order)
+		}
+	}
+	if order[0] != 3 || order[1] != 2 {
+		t.Fatalf("delivery order %v, want [3 2]", order)
+	}
+}
+
+// TestConditionedDropsAtDeliveryWhenCrashed: a destination that
+// crashes while a delayed message is in flight gets nothing, and the
+// drop is the sender shim's, at the deadline — not the receive filter's.
+func TestConditionedDropsAtDeliveryWhenCrashed(t *testing.T) {
+	ca, cb, cond := newConditionedPair(t)
+	deliver(t, cb, 1, func() { ca.Send(2, types.QueryMsg{Height: 1}) })
+
+	cond.SetNodeDelay(1, 60*time.Millisecond, 0)
+	before := ca.dropped.Load()
+	ca.Send(2, types.QueryMsg{Height: 2})
+	cond.Crash(2)
+	time.Sleep(150 * time.Millisecond)
+	if got := ca.dropped.Load() - before; got != 1 {
+		t.Fatalf("sender shim dropped %d messages at delivery, want 1", got)
+	}
+	cond.Restart(2)
+	cond.SetNodeDelay(1, 0, 0)
+	select {
+	case env := <-cb.Inbox():
+		t.Fatalf("message to a crashed node delivered: %+v", env.Msg)
+	case <-time.After(100 * time.Millisecond):
+	}
+}
+
+// TestConditionedCloseStopsScheduler: Close discards pending delayed
+// sends and leaves no scheduler goroutine behind.
+func TestConditionedCloseStopsScheduler(t *testing.T) {
+	ca, cb, cond := newConditionedPair(t)
+	cond.SetNodeDelay(1, time.Hour, 0)
+	for i := 0; i < 100; i++ {
+		ca.Send(2, types.QueryMsg{Height: uint64(i)})
+	}
+	_ = ca.Close()
+	_ = cb.Close()
+	assertNoLeaks(t)
+}

@@ -16,6 +16,15 @@ func join(t *testing.T, s *Switch, id types.NodeID) *Endpoint {
 	return ep
 }
 
+// newSwitch builds a switch that is closed when the test ends, so no
+// scheduler goroutine outlives it (the leak accounting counts them).
+func newSwitch(t *testing.T, cond *Conditions) *Switch {
+	t.Helper()
+	s := NewSwitch(cond)
+	t.Cleanup(s.Close)
+	return s
+}
+
 func recvWithin(t *testing.T, ep *Endpoint, d time.Duration) Envelope {
 	t.Helper()
 	select {
@@ -89,7 +98,7 @@ func TestSwitchDuplicateJoin(t *testing.T) {
 func TestSwitchDelay(t *testing.T) {
 	cond := NewConditions(1)
 	cond.SetBaseDelay(30*time.Millisecond, 0)
-	s := NewSwitch(cond)
+	s := newSwitch(t, cond)
 	a, b := join(t, s, 1), join(t, s, 2)
 	start := time.Now()
 	a.Send(2, "delayed")
@@ -102,7 +111,7 @@ func TestSwitchDelay(t *testing.T) {
 func TestSwitchBandwidthCharge(t *testing.T) {
 	cond := NewConditions(1)
 	cond.SetBandwidth(1 << 20) // 1 MiB/s
-	s := NewSwitch(cond)
+	s := newSwitch(t, cond)
 	a, b := join(t, s, 1), join(t, s, 2)
 	// 512 KiB payload → 2·size/bw = 1s... too slow for a test; use
 	// a 26 KiB block ≈ 50ms charge.
@@ -166,7 +175,7 @@ func TestSwitchCrashAndRestart(t *testing.T) {
 func TestSwitchCrashDropsInFlight(t *testing.T) {
 	cond := NewConditions(1)
 	cond.SetBaseDelay(50*time.Millisecond, 0)
-	s := NewSwitch(cond)
+	s := newSwitch(t, cond)
 	a, b := join(t, s, 1), join(t, s, 2)
 	a.Send(2, "in flight")
 	cond.Crash(2) // crash before the delayed delivery fires
@@ -198,7 +207,7 @@ func TestSwitchDropRate(t *testing.T) {
 
 func TestSwitchFluctuationWindow(t *testing.T) {
 	cond := NewConditions(1)
-	s := NewSwitch(cond)
+	s := newSwitch(t, cond)
 	a, b := join(t, s, 1), join(t, s, 2)
 	cond.Fluctuate(time.Now(), 80*time.Millisecond, 40*time.Millisecond, 41*time.Millisecond)
 	start := time.Now()
@@ -218,7 +227,7 @@ func TestSwitchFluctuationWindow(t *testing.T) {
 
 func TestSwitchSlowCommand(t *testing.T) {
 	cond := NewConditions(1)
-	s := NewSwitch(cond)
+	s := newSwitch(t, cond)
 	a, b := join(t, s, 1), join(t, s, 2)
 	cond.SetNodeDelay(1, 30*time.Millisecond, 0)
 	start := time.Now()

@@ -33,32 +33,53 @@ func (h *deliveryHeap) Pop() any {
 	return d
 }
 
-// scheduler delivers delayed messages from a single goroutine driven
-// by one timer — the cheap, precise alternative to a runtime timer per
-// message.
+// scheduler holds delayed messages until their deadlines and hands
+// them to deliver from a single goroutine driven by one timer — the
+// cheap, precise alternative to a runtime timer per message. The switch
+// owns one for the whole in-process network; each Conditioned shim
+// owns one for its outgoing traffic. The goroutine starts with the
+// first scheduled delivery, so a scheduler that never sees a delay
+// costs nothing.
+//
+// The heap stays on container/heap. A typed, allocation-free heap was
+// measured: it bought no end-to-end throughput, and by shortening
+// vote collection it slows how fast the crash1-rate workload's leader
+// before the dead replica piles up orphaned requests, moving the last
+// lost request into that workload's measured window.
 type scheduler struct {
-	sw   *Switch
-	mu   sync.Mutex
-	h    deliveryHeap
-	wake chan struct{}
-	done chan struct{}
-	once sync.Once
+	deliver func(delivery)
+
+	mu      sync.Mutex
+	h       deliveryHeap
+	started bool
+	stopped bool
+
+	wake   chan struct{}
+	done   chan struct{}
+	exited chan struct{}
 }
 
-func newScheduler(sw *Switch) *scheduler {
-	s := &scheduler{
-		sw:   sw,
-		wake: make(chan struct{}, 1),
-		done: make(chan struct{}),
+func newScheduler(deliver func(delivery)) *scheduler {
+	return &scheduler{
+		deliver: deliver,
+		wake:    make(chan struct{}, 1),
+		done:    make(chan struct{}),
+		exited:  make(chan struct{}),
 	}
-	go s.run()
-	return s
 }
 
 // schedule queues a delivery and wakes the loop if the new deadline
-// precedes the previous earliest one.
+// precedes the previous earliest one. After stop it drops d.
 func (s *scheduler) schedule(d delivery) {
 	s.mu.Lock()
+	if s.stopped {
+		s.mu.Unlock()
+		return
+	}
+	if !s.started {
+		s.started = true
+		go s.run()
+	}
 	needWake := s.h.Len() == 0 || d.at.Before(s.h[0].at)
 	heap.Push(&s.h, d)
 	s.mu.Unlock()
@@ -70,12 +91,25 @@ func (s *scheduler) schedule(d delivery) {
 	}
 }
 
-// stop terminates the loop; queued deliveries are discarded.
+// stop terminates the loop and waits for it to exit; queued deliveries
+// are discarded. Safe to call more than once.
 func (s *scheduler) stop() {
-	s.once.Do(func() { close(s.done) })
+	s.mu.Lock()
+	first := !s.stopped
+	s.stopped = true
+	started := s.started
+	s.h = nil
+	s.mu.Unlock()
+	if first {
+		close(s.done)
+	}
+	if started {
+		<-s.exited
+	}
 }
 
 func (s *scheduler) run() {
+	defer close(s.exited)
 	timer := time.NewTimer(time.Hour)
 	defer timer.Stop()
 	for {
@@ -85,7 +119,7 @@ func (s *scheduler) run() {
 		for s.h.Len() > 0 && !s.h[0].at.After(now) {
 			d := heap.Pop(&s.h).(delivery)
 			s.mu.Unlock()
-			s.sw.deliverDue(d)
+			s.deliver(d)
 			s.mu.Lock()
 		}
 		var wait time.Duration

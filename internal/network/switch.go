@@ -51,12 +51,12 @@ func NewSwitch(cond *Conditions) *Switch {
 		cond:      cond,
 		endpoints: make(map[types.NodeID]*Endpoint),
 	}
-	s.sched = newScheduler(s)
+	s.sched = newScheduler(s.deliverDue)
 	return s
 }
 
-// Close stops the delivery scheduler; pending delayed messages are
-// dropped. Endpoints must not be used afterwards.
+// Close stops the delivery scheduler and waits for it to exit; pending
+// delayed messages are dropped. Endpoints must not be used afterwards.
 func (s *Switch) Close() {
 	s.sched.stop()
 }
@@ -100,10 +100,12 @@ func (s *Switch) Stats() (msgs, bytes, dropped uint64) {
 	return s.msgsSent.Load(), s.bytesSent.Load(), s.dropped.Load()
 }
 
-// deliver routes one message, applying network conditions.
+// deliver routes one message, applying network conditions. One clock
+// reading serves both the judgement and the deadline.
 func (s *Switch) deliver(from, to types.NodeID, msg any) {
 	size := messageSize(msg)
-	v := s.cond.judge(from, to, size, time.Now())
+	now := time.Now()
+	v := s.cond.judge(from, to, size, now)
 	if v.drop {
 		s.dropped.Add(1)
 		return
@@ -113,7 +115,7 @@ func (s *Switch) deliver(from, to types.NodeID, msg any) {
 		return
 	}
 	s.sched.schedule(delivery{
-		at:   time.Now().Add(v.delay),
+		at:   now.Add(v.delay),
 		from: from,
 		to:   to,
 		msg:  msg,

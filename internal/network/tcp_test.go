@@ -59,9 +59,9 @@ func recvQuery(t *testing.T, tr *TCP, want uint64, send func()) Envelope {
 }
 
 // goroutineLeaks lists stacks of still-running network goroutines
-// (accept/read/write loops, conditioned pumps) after polling for up to
-// two seconds — the goleak-style accounting the Stop/Close tests rely
-// on.
+// (accept/read/write loops, conditioned pumps, delay schedulers) after
+// polling for up to two seconds — the goleak-style accounting the
+// Stop/Close tests rely on.
 func goroutineLeaks(t *testing.T) []string {
 	t.Helper()
 	markers := []string{
@@ -69,6 +69,7 @@ func goroutineLeaks(t *testing.T) []string {
 		"network.(*TCP).readLoop",
 		"network.(*TCP).writeLoop",
 		"network.(*Conditioned).pump",
+		"network.(*scheduler).run",
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	var leaked []string

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 	"sync"
 
 	"github.com/bamboo-bft/bamboo/internal/kvstore"
@@ -203,7 +204,7 @@ func (k *kv) Next() []byte {
 	} else {
 		idx = k.zipf.Uint64()
 	}
-	key := fmt.Sprintf("key%08d", idx)
+	key := paddedKey("key", int64(idx), 8)
 	if k.rng.Float64() >= k.writes {
 		return kvstore.EncodeGet(key, k.payload)
 	}
@@ -254,7 +255,28 @@ func NewKVBank(s Spec, payload int, seed int64) Generator {
 func (b *kvbank) Name() string { return KindKVBank }
 
 // Account returns the store key of account i.
-func Account(i int) string { return fmt.Sprintf("acct%04d", i) }
+func Account(i int) string { return paddedKey("acct", int64(i), 4) }
+
+// paddedKey returns prefix followed by v in decimal, zero-padded to
+// width characters — byte-identical to fmt.Sprintf(prefix+"%0<width>d",
+// v), including the sign of a negative v, without fmt's per-call cost
+// on the load generator's hot path.
+func paddedKey(prefix string, v int64, width int) string {
+	var buf [48]byte
+	b := append(buf[:0], prefix...)
+	u := uint64(v)
+	if v < 0 {
+		b = append(b, '-')
+		u = -u
+		width--
+	}
+	var digits [20]byte
+	d := strconv.AppendUint(digits[:0], u, 10)
+	for i := len(d); i < width; i++ {
+		b = append(b, '0')
+	}
+	return string(append(b, d...))
+}
 
 func (b *kvbank) Next() []byte {
 	b.mu.Lock()

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -256,5 +257,19 @@ func TestSpecValidate(t *testing.T) {
 	}
 	if _, err := (Spec{Kind: KindKV}).New(0, 1); err != nil {
 		t.Errorf("default kv spec rejected: %v", err)
+	}
+}
+
+// TestPaddedKeysMatchFmt: the hand-built account and kv keys are
+// byte-identical to the fmt formats they replace, over-width values
+// included.
+func TestPaddedKeysMatchFmt(t *testing.T) {
+	for _, v := range []int{0, 7, 9999, 10000, 99999999, 100000000, -7, -12345} {
+		if got, want := Account(v), fmt.Sprintf("acct%04d", v); got != want {
+			t.Errorf("Account(%d) = %q, want %q", v, got, want)
+		}
+		if got, want := paddedKey("key", int64(v), 8), fmt.Sprintf("key%08d", v); got != want {
+			t.Errorf("kv key %d = %q, want %q", v, got, want)
+		}
 	}
 }
