@@ -160,10 +160,7 @@ func (n *Node) onProposal(from types.NodeID, m types.ProposalMsg, verified bool)
 		return
 	}
 	if !verified {
-		if err := n.scheme.Verify(b.Proposer, types.SigningDigest(b.View, id), b.Sig); err != nil {
-			return
-		}
-		if err := crypto.VerifyQC(n.scheme, b.QC, n.cfg.Quorum()); err != nil {
+		if err := crypto.VerifyProposal(n.scheme, b, n.cfg.Quorum()); err != nil {
 			return
 		}
 		// The signed ID covers the payload only through its digest;

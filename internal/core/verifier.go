@@ -151,9 +151,12 @@ func (v *verifier) verifyVotes(jobs []verifyJob) {
 // verifyOne checks a proposal, timeout, or TC message, mirroring the
 // synchronous path's acceptance rules:
 //
-//   - proposal: proposer signature and embedded QC must verify or the
-//     message is dropped; an invalid piggybacked TC is stripped (the
-//     sync path rejects the TC but still processes the proposal).
+//   - proposal: proposer signature and embedded QC must verify (one
+//     batch where the scheme has a batch equation; on failure the
+//     signature must pass alone and the QC keeps the quorum-of-valid
+//     rule) or the message is dropped; an invalid piggybacked TC is
+//     stripped (the sync path rejects the TC but still processes the
+//     proposal).
 //   - timeout: the timeout signature must verify; an invalid carried
 //     high-QC is stripped (the sync path skips adopting it).
 //   - TC: certificate and carried high-QC must verify or the message
@@ -170,12 +173,7 @@ func (v *verifier) verifyOne(job verifyJob) {
 			return
 		}
 		sigs := 1 + len(b.QC.Sigs)
-		if err := n.scheme.Verify(b.Proposer, types.SigningDigest(b.View, b.ID()), b.Sig); err != nil {
-			n.pipeline.OnVerifyBatch(time.Since(job.enq), 1, true)
-			n.pipeline.OnVerifyRejected()
-			return
-		}
-		if err := crypto.VerifyQCBatch(n.scheme, b.QC, quorum); err != nil {
+		if err := crypto.VerifyProposalBatch(n.scheme, b, quorum); err != nil {
 			n.pipeline.OnVerifyBatch(time.Since(job.enq), sigs, true)
 			n.pipeline.OnVerifyRejected()
 			return

@@ -1,7 +1,6 @@
 package crypto
 
 import (
-	"crypto/ed25519"
 	"errors"
 	"fmt"
 
@@ -20,14 +19,10 @@ type BatchItem struct {
 	Sig    []byte
 }
 
-// BatchScheme is implemented by schemes that can check a whole batch
-// of signatures in one call, returning nil only when every item is
-// valid. The stock implementations verify sequentially in a single
-// pass — the Go standard library exposes no multi-scalar Ed25519 batch
-// equation — so the speedup comes from amortizing per-message
-// dispatch and from running batches off the consensus event loop; a
-// deployment with an aggregated-signature library can slot a true
-// batch equation in behind this interface without touching callers.
+// BatchScheme is implemented by schemes with a batch equation: one
+// check of many signatures, cheaper than checking them one by one,
+// that returns nil only when every item is valid. Ed25519 has one;
+// HMAC and Noop do not, and their signatures are checked singly.
 type BatchScheme interface {
 	VerifyBatch(items []BatchItem) error
 }
@@ -88,34 +83,6 @@ func (v *BatchVerifier) Verify() (ok []bool, err error) {
 	return ok, nil
 }
 
-// VerifyBatch implements BatchScheme for Ed25519: one sequential pass
-// over the stdlib verifier with early exit on the first failure.
-func (e *Ed25519) VerifyBatch(items []BatchItem) error {
-	for i := range items {
-		pub, ok := e.pubs[items[i].Signer]
-		if !ok {
-			return fmt.Errorf("%w: %s", ErrUnknownSigner, items[i].Signer)
-		}
-		if !ed25519.Verify(pub, items[i].Digest, items[i].Sig) {
-			return fmt.Errorf("%w: %s", ErrBadSignature, items[i].Signer)
-		}
-	}
-	return nil
-}
-
-// VerifyBatch implements BatchScheme for HMAC.
-func (h *HMAC) VerifyBatch(items []BatchItem) error {
-	for i := range items {
-		if err := h.Verify(items[i].Signer, items[i].Digest, items[i].Sig); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// VerifyBatch implements BatchScheme for Noop.
-func (Noop) VerifyBatch([]BatchItem) error { return nil }
-
 // VerifyQCBatch checks a quorum certificate using batch verification.
 // Structural checks (arity, duplicate signers) match VerifyQC; the
 // signature check differs under attack: when the batch fails, valid
@@ -142,23 +109,29 @@ func VerifyTCBatch(s Scheme, tc *types.TC, quorum int) error {
 	return verifyCertBatch(s, tc.Signers, tc.Sigs, types.TimeoutDigest(tc.View), quorum)
 }
 
-// verifyCertBatch is the shared certificate check: structural
+// VerifyProposalBatch is VerifyProposal with VerifyQCBatch's rule for
+// the certificate: when the joint batch fails, the proposer's signature
+// must still verify alone, and the certificate stands if its valid
+// distinct signers reach the quorum.
+func VerifyProposalBatch(s Scheme, b *types.Block, quorum int) error {
+	if _, ok := s.(BatchScheme); ok && VerifyProposal(s, b, quorum) == nil {
+		return nil
+	}
+	if err := s.Verify(b.Proposer, types.SigningDigest(b.View, b.ID()), b.Sig); err != nil {
+		return err
+	}
+	return VerifyQCBatch(s, b.QC, quorum)
+}
+
+// verifyCertBatch is the shared tolerant certificate check: structural
 // validation, one batch verification over the common digest, and the
-// tolerant quorum-of-valid fallback.
+// quorum-of-valid fallback.
 func verifyCertBatch(s Scheme, signers []types.NodeID, sigs [][]byte, digest []byte, quorum int) error {
-	if len(signers) != len(sigs) {
-		return ErrArityMismatch
+	if err := checkCert(signers, sigs, quorum); err != nil {
+		return err
 	}
-	if len(signers) < quorum {
-		return fmt.Errorf("%w: %d < %d", ErrQuorumTooSmall, len(signers), quorum)
-	}
-	seen := make(map[types.NodeID]struct{}, len(signers))
 	bv := NewBatchVerifier(s)
 	for i, id := range signers {
-		if _, dup := seen[id]; dup {
-			return fmt.Errorf("%w: %s", ErrDuplicateSigner, id)
-		}
-		seen[id] = struct{}{}
 		bv.Add(id, digest, sigs[i])
 	}
 	ok, err := bv.Verify()

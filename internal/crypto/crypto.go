@@ -16,6 +16,29 @@
 //
 // All replicas in a run share one scheme, so protocol comparisons stay
 // apples-to-apples regardless of the choice.
+//
+// # Ed25519 verification rule
+//
+// Signing is crypto/ed25519.Sign, unchanged: the signatures are RFC 8032
+// Ed25519. Verification is the cofactored rule of ZIP 215: signature
+// (R, S) by public key A over message M is valid when S < L and
+//
+//	[8](S·B − k·A − R) = O,  where k = SHA-512(R ‖ A ‖ M) mod L,
+//
+// with A and R decoded leniently (any encoding of a curve point,
+// canonical or not). Ed25519.Verify checks one signature;
+// Ed25519.VerifyBatch checks many as one random linear combination of
+// that equation, a single multi-scalar multiplication. VerifyQC,
+// VerifyTC and VerifyProposal use the batch for a whole certificate,
+// and for a proposal's signature together with its certificate.
+//
+// The single and the batch check must agree, because replicas must
+// agree on which certificates are valid while one replica may check a
+// certificate as a batch and another signature by signature. The
+// cofactorless check of crypto/ed25519.Verify disagrees with any batch
+// equation on signatures a key holder crafts with a small-order
+// component; only a cofactored single check agrees with the batch by
+// construction. Honest signatures are valid under both rules.
 package crypto
 
 import (
@@ -74,24 +97,7 @@ func VerifyQC(s Scheme, qc *types.QC, quorum int) error {
 	if qc.IsGenesis() {
 		return nil
 	}
-	if len(qc.Signers) != len(qc.Sigs) {
-		return ErrArityMismatch
-	}
-	if len(qc.Signers) < quorum {
-		return fmt.Errorf("%w: %d < %d", ErrQuorumTooSmall, len(qc.Signers), quorum)
-	}
-	digest := types.SigningDigest(qc.View, qc.BlockID)
-	seen := make(map[types.NodeID]struct{}, len(qc.Signers))
-	for i, id := range qc.Signers {
-		if _, dup := seen[id]; dup {
-			return fmt.Errorf("%w: %s", ErrDuplicateSigner, id)
-		}
-		seen[id] = struct{}{}
-		if err := s.Verify(id, digest, qc.Sigs[i]); err != nil {
-			return fmt.Errorf("qc signer %s: %w", id, err)
-		}
-	}
-	return nil
+	return verifyCert(s, nil, qc.Signers, qc.Sigs, types.SigningDigest(qc.View, qc.BlockID), quorum)
 }
 
 // VerifyTC checks a timeout certificate the same way VerifyQC checks a
@@ -100,22 +106,69 @@ func VerifyTC(s Scheme, tc *types.TC, quorum int) error {
 	if tc == nil {
 		return errors.New("crypto: nil TC")
 	}
-	if len(tc.Signers) != len(tc.Sigs) {
+	return verifyCert(s, nil, tc.Signers, tc.Sigs, types.TimeoutDigest(tc.View), quorum)
+}
+
+// VerifyProposal authenticates a block: its proposer's signature over
+// the block and its embedded quorum certificate must both be valid.
+func VerifyProposal(s Scheme, b *types.Block, quorum int) error {
+	lead := BatchItem{Signer: b.Proposer, Digest: types.SigningDigest(b.View, b.ID()), Sig: b.Sig}
+	qc := b.QC
+	if qc == nil || qc.IsGenesis() {
+		if err := s.Verify(lead.Signer, lead.Digest, lead.Sig); err != nil {
+			return err
+		}
+		return VerifyQC(s, qc, quorum)
+	}
+	return verifyCert(s, &lead, qc.Signers, qc.Sigs, types.SigningDigest(qc.View, qc.BlockID), quorum)
+}
+
+// verifyCert checks a certificate strictly — its structure, then every
+// signature over digest — together with lead, one more signature that
+// must be valid too, or nil. Under a BatchScheme all the signatures are
+// one batch; otherwise lead is checked first and the rest in turn.
+func verifyCert(s Scheme, lead *BatchItem, signers []types.NodeID, sigs [][]byte, digest []byte, quorum int) error {
+	if err := checkCert(signers, sigs, quorum); err != nil {
+		return err
+	}
+	if bs, ok := s.(BatchScheme); ok {
+		items := make([]BatchItem, 0, len(signers)+1)
+		if lead != nil {
+			items = append(items, *lead)
+		}
+		for i, id := range signers {
+			items = append(items, BatchItem{Signer: id, Digest: digest, Sig: sigs[i]})
+		}
+		return bs.VerifyBatch(items)
+	}
+	if lead != nil {
+		if err := s.Verify(lead.Signer, lead.Digest, lead.Sig); err != nil {
+			return err
+		}
+	}
+	for i, id := range signers {
+		if err := s.Verify(id, digest, sigs[i]); err != nil {
+			return fmt.Errorf("certificate signer %s: %w", id, err)
+		}
+	}
+	return nil
+}
+
+// checkCert runs a certificate's structural checks: one signature per
+// signer, at least quorum signers, and no signer twice.
+func checkCert(signers []types.NodeID, sigs [][]byte, quorum int) error {
+	if len(signers) != len(sigs) {
 		return ErrArityMismatch
 	}
-	if len(tc.Signers) < quorum {
-		return fmt.Errorf("%w: %d < %d", ErrQuorumTooSmall, len(tc.Signers), quorum)
+	if len(signers) < quorum {
+		return fmt.Errorf("%w: %d < %d", ErrQuorumTooSmall, len(signers), quorum)
 	}
-	digest := types.TimeoutDigest(tc.View)
-	seen := make(map[types.NodeID]struct{}, len(tc.Signers))
-	for i, id := range tc.Signers {
+	seen := make(map[types.NodeID]struct{}, len(signers))
+	for _, id := range signers {
 		if _, dup := seen[id]; dup {
 			return fmt.Errorf("%w: %s", ErrDuplicateSigner, id)
 		}
 		seen[id] = struct{}{}
-		if err := s.Verify(id, digest, tc.Sigs[i]); err != nil {
-			return fmt.Errorf("tc signer %s: %w", id, err)
-		}
 	}
 	return nil
 }

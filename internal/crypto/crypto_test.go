@@ -110,7 +110,7 @@ func TestNewSchemeFactory(t *testing.T) {
 	}
 }
 
-func buildQC(t *testing.T, s Scheme, view types.View, block types.Hash, signers []types.NodeID) *types.QC {
+func buildQC(t testing.TB, s Scheme, view types.View, block types.Hash, signers []types.NodeID) *types.QC {
 	t.Helper()
 	qc := &types.QC{View: view, BlockID: block}
 	digest := types.SigningDigest(view, block)
