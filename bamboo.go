@@ -82,10 +82,10 @@ type (
 	NodeStatus = core.Status
 	// ChainStats carries the chain micro-metrics (CGR, BI).
 	ChainStats = metrics.ChainStats
-	// PipelineStats carries the per-stage hot-path instrumentation:
-	// verify-queue wait, apply lag, and the digest/batch counters of
-	// the pipelined replica (Config.DigestProposals, AsyncVerify,
-	// AsyncCommit).
+	// PipelineStats carries the hot-path instrumentation beyond the
+	// chain metrics: the ordered apply stage's lag and block count,
+	// safety-WAL syncs, and the state-sync, snapshot and replay
+	// counters.
 	PipelineStats = metrics.PipelineStats
 	// Store is the in-memory key-value execution layer.
 	Store = kvstore.Store

@@ -108,7 +108,3 @@ func BenchmarkAblationClientFanout(b *testing.B) {
 func BenchmarkAblationElection(b *testing.B) {
 	runExperiment(b, (*bench.Runner).RunAblationElection, false)
 }
-
-func BenchmarkPipelineHotPath(b *testing.B) {
-	runExperiment(b, (*bench.Runner).RunPipelineHotPath, false)
-}

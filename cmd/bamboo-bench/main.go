@@ -65,7 +65,6 @@ var experiments = []struct {
 	{"ablation-batching", "client path / batching", (*bench.Runner).RunAblationBatching},
 	{"ablation-fanout", "client fan-out designs", (*bench.Runner).RunAblationClientFanout},
 	{"ablation-election", "leader-election designs", (*bench.Runner).RunAblationElection},
-	{"pipeline-hotpath", "sync vs pipelined replica hot path", (*bench.Runner).RunPipelineHotPath},
 	{"load", "open-loop rate ladder through saturation (tail latency, admission control)", (*bench.Runner).RunLoadLadder},
 	{"stages", "per-stage commit-latency breakdown + chain quality (proposer shares, Gini)", (*bench.Runner).RunStages},
 }

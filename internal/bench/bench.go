@@ -126,11 +126,10 @@ type Point = harness.Point
 
 // measureOpt tunes a measurement run beyond the cluster config.
 type measureOpt struct {
-	// fanout broadcasts each client transaction to every replica —
-	// the data-plane dissemination digest proposals resolve against.
+	// fanout broadcasts each client transaction to every replica.
 	fanout bool
 	// stores attaches a kvstore execution layer to every replica so
-	// the commit-apply stage has real work.
+	// the apply stage has real work.
 	stores bool
 	// election selects the leader-election design ("" keeps the
 	// configuration default).

@@ -541,8 +541,8 @@ func (c *Cluster) PipelineStats() metrics.PipelineStats {
 	return c.nodes[c.Observer()].Pipeline().Snapshot()
 }
 
-// AggregatePipeline sums the pipeline stage counters over the honest
-// replicas (latency summaries are per-replica; the observer's are in
+// AggregatePipeline sums the apply, WAL, sync and snapshot counters
+// over the honest replicas (latency summaries are per-replica; the observer's are in
 // PipelineStats).
 func (c *Cluster) AggregatePipeline() metrics.PipelineStats {
 	var agg metrics.PipelineStats

@@ -261,8 +261,8 @@ func appendBlockPtr(b []byte, blk *types.Block) []byte {
 	for i := range blk.Payload {
 		b = appendTx(b, &blk.Payload[i])
 	}
-	// The digest travels explicitly so stripped (digest-only) blocks
-	// decode with their payload commitment intact.
+	// The digest travels explicitly so stripped blocks (snapshot
+	// headers) decode with their payload commitment intact.
 	b = append(b, blk.Digest[:]...)
 	return appendBytes(b, blk.Sig)
 }

@@ -131,35 +131,6 @@ type Config struct {
 	// in-process transport (0 disables bandwidth modelling).
 	Bandwidth float64 `json:"bandwidth"`
 
-	// DigestProposals separates the data plane from the consensus
-	// plane: proposals are broadcast carrying the payload digest and
-	// ordered transaction IDs instead of full transactions, and
-	// followers rebuild the payload from their indexed mempool
-	// (falling back to a fetch from the proposer when transactions
-	// are missing). Pair with client fan-out so follower pools hold
-	// the payload before the proposal arrives.
-	DigestProposals bool `json:"digestProposals"`
-
-	// AsyncVerify moves proposal, vote, and timeout signature
-	// verification off the replica's event loop onto a bounded
-	// worker pool with batch verification, so crypto no longer
-	// serializes the forest and safety rules.
-	AsyncVerify bool `json:"asyncVerify"`
-
-	// VerifyWorkers sizes the verification pool; 0 picks the number
-	// of CPUs, capped at 8.
-	VerifyWorkers int `json:"verifyWorkers"`
-
-	// AsyncCommit applies committed blocks (the Execute hook and
-	// ledger append) on an ordered commit-apply goroutine with a
-	// bounded queue, so block execution no longer stalls voting.
-	AsyncCommit bool `json:"asyncCommit"`
-
-	// ApplyQueue bounds the staged-commit backlog in blocks; once
-	// full, commits apply backpressure to the event loop. 0 picks
-	// the default of 128.
-	ApplyQueue int `json:"applyQueue"`
-
 	// SnapshotInterval, when positive, snapshots the replica's state
 	// machine every that-many committed heights: the canonical
 	// kvstore serialization plus the certified block header at the
@@ -172,8 +143,8 @@ type Config struct {
 	// chain). Enabled values below the forest keep window are
 	// rejected: the window of full blocks above a snapshot is what
 	// lets peers bridge the snapshot to the live chain. Capture runs
-	// on the commit path — pair with AsyncCommit for large states, or
-	// the serialization and ledger compaction stall the event loop.
+	// on the ordered apply stage, off the event loop, right after the
+	// block at the interval height executes.
 	SnapshotInterval int `json:"snapshotInterval"`
 
 	// ForestKeep is how many committed heights of full blocks the
@@ -304,12 +275,6 @@ func (c *Config) Validate() error {
 	}
 	if int(c.Master) > c.N {
 		return fmt.Errorf("config: master %d out of range for n=%d", c.Master, c.N)
-	}
-	if c.VerifyWorkers < 0 {
-		return errors.New("config: verify workers must be non-negative")
-	}
-	if c.ApplyQueue < 0 {
-		return errors.New("config: apply queue must be non-negative")
 	}
 	if c.ForestKeep != 0 && c.ForestKeep < 8 {
 		return fmt.Errorf("config: forest keep window %d below minimum 8", c.ForestKeep)

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/bamboo-bft/bamboo/internal/config"
 	"github.com/bamboo-bft/bamboo/internal/network"
 	"github.com/bamboo-bft/bamboo/internal/types"
 )
@@ -15,13 +14,7 @@ import (
 // ID for crafting hostile traffic.
 func startSwitchCluster(t *testing.T, intruder types.NodeID) ([]*Node, *network.Endpoint) {
 	t.Helper()
-	return startSwitchClusterCfg(t, testCfg(), intruder)
-}
-
-// startSwitchClusterCfg is startSwitchCluster with an explicit
-// configuration (pipeline-mode variants).
-func startSwitchClusterCfg(t *testing.T, cfg config.Config, intruder types.NodeID) ([]*Node, *network.Endpoint) {
-	t.Helper()
+	cfg := testCfg()
 	sw := network.NewSwitch(nil)
 	transports := make(map[types.NodeID]network.Transport, cfg.N)
 	for i := 1; i <= cfg.N; i++ {
@@ -62,15 +55,10 @@ func waitProgress(t *testing.T, nodes []*Node, beyond uint64) {
 	}
 }
 
-// TestEngineSurvivesMalformedMessages floods a live cluster with
-// hostile garbage — nil payloads, forged signatures, stale and future
-// views, junk types — and requires continued progress, zero panics,
-// and zero safety violations.
-func TestEngineSurvivesMalformedMessages(t *testing.T) {
-	nodes, raw := startSwitchCluster(t, 666)
-	nodes[0].Submit(types.Transaction{ID: types.TxID{Client: 1, Seq: 1}})
-	waitProgress(t, nodes, 0)
-
+// floodHostile sends a seeded mix of hostile garbage — nil payloads,
+// forged signatures, stale and future views, junk types — from raw to
+// random replicas of a 4-node cluster, 50 rounds of each message.
+func floodHostile(raw *network.Endpoint) {
 	hostile := []any{
 		types.ProposalMsg{},                             // nil block
 		types.ProposalMsg{Block: &types.Block{}},        // no QC
@@ -84,6 +72,8 @@ func TestEngineSurvivesMalformedMessages(t *testing.T) {
 		types.ReplyMsg{TxID: types.TxID{Client: 9, Seq: 9}}, // replies to a replica
 		types.RequestMsg{}, // zero-value transaction
 		types.SlowMsg{DelayMeanNanos: -5, DelayStdNanos: -5}, // nonsense delays
+		types.PayloadBatchMsg{},                              // a message the engine never acts on
+		types.PayloadBatchMsg{Txs: make([]types.Transaction, 3)},
 	}
 	// Forged consensus messages: bad signatures, wrong proposers,
 	// time-traveling views.
@@ -95,6 +85,13 @@ func TestEngineSurvivesMalformedMessages(t *testing.T) {
 			View: 3, Proposer: 4, // wrong leader for view 3 (round robin)
 			QC: types.GenesisQC(), Sig: []byte("x"),
 		}},
+		types.ProposalMsg{ // digest form: stripped payload, IDs listed
+			Block: &types.Block{
+				View: 6, Proposer: 2, QC: types.GenesisQC(), Sig: []byte("x"),
+				Digest: types.Hash{0xaa},
+			},
+			PayloadIDs: []types.TxID{{Client: 9, Seq: 9}},
+		},
 		types.VoteMsg{Vote: &types.Vote{View: 2, Voter: 2, Sig: []byte("forged")}},
 		types.VoteMsg{Vote: &types.Vote{View: 1 << 40, Voter: 3, Sig: []byte("future")}},
 		types.TimeoutMsg{Timeout: &types.Timeout{View: 1 << 40, Voter: 3, Sig: []byte("future")}},
@@ -110,6 +107,18 @@ func TestEngineSurvivesMalformedMessages(t *testing.T) {
 			raw.Send(types.NodeID(rng.Intn(4)+1), msg)
 		}
 	}
+}
+
+// TestEngineSurvivesMalformedMessages floods a live cluster with
+// hostile garbage — nil payloads, forged signatures, stale and future
+// views, junk types — and requires continued progress, zero panics,
+// and zero safety violations.
+func TestEngineSurvivesMalformedMessages(t *testing.T) {
+	nodes, raw := startSwitchCluster(t, 666)
+	nodes[0].Submit(types.Transaction{ID: types.TxID{Client: 1, Seq: 1}})
+	waitProgress(t, nodes, 0)
+
+	floodHostile(raw)
 	before := nodes[len(nodes)-1].Status().CommittedHeight
 	nodes[0].Submit(types.Transaction{ID: types.TxID{Client: 1, Seq: 2}})
 	waitProgress(t, nodes, before)

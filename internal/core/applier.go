@@ -7,8 +7,7 @@ import (
 	"github.com/bamboo-bft/bamboo/internal/types"
 )
 
-// defaultApplyQueue is the staged-commit backlog bound when the
-// configuration leaves ApplyQueue at zero.
+// defaultApplyQueue bounds the apply stage's backlog in blocks.
 const defaultApplyQueue = 128
 
 // applyJob is one committed block awaiting execution, or — when
@@ -35,10 +34,11 @@ type applyJob struct {
 	install *snapshot.Snapshot
 }
 
-// applier is pipeline stage 3: an ordered commit-apply goroutine that
-// runs the Execute hook and the ledger append off the event loop, so
-// block execution no longer stalls voting. The queue is bounded; when
-// execution lags more than ApplyQueue blocks behind consensus, the
+// applier is the ordered apply stage: one goroutine that runs, per
+// committed block and in commit order, the ledger append, the Execute
+// hook, the interval snapshot capture and the execute trace stamp, so
+// block execution never stalls voting. The queue is bounded; when
+// execution lags more than the queue's capacity behind consensus, the
 // enqueue blocks the event loop — deliberate backpressure that slows
 // voting instead of growing an unbounded backlog.
 type applier struct {
@@ -47,11 +47,8 @@ type applier struct {
 	done chan struct{}
 }
 
-// newApplier starts the commit-apply goroutine.
+// newApplier starts the apply goroutine with a backlog of queue blocks.
 func newApplier(n *Node, queue int) *applier {
-	if queue <= 0 {
-		queue = defaultApplyQueue
-	}
 	a := &applier{n: n, jobs: make(chan applyJob, queue), done: make(chan struct{})}
 	go a.run()
 	return a

@@ -55,28 +55,8 @@ func (n *Node) propose(view types.View, tc *types.TC) {
 			}
 		}
 	}
-	n.net.Broadcast(n.wireProposal(msg))
+	n.net.Broadcast(msg)
 	n.onProposal(n.id, msg, true)
-}
-
-// wireProposal picks the proposal's wire form: in digest mode the
-// payload stays on the data plane — the broadcast carries the payload
-// digest plus ordered transaction IDs, and followers rebuild the batch
-// from their own pools. The OHS lightweight client path keeps full
-// proposals (its pool is not indexed).
-func (n *Node) wireProposal(msg types.ProposalMsg) types.ProposalMsg {
-	if !n.cfg.DigestProposals || n.policy.LightweightPool || len(msg.Block.Payload) == 0 {
-		return msg
-	}
-	// Flush any buffered payload sync first: transactions this block
-	// batched straight off a client arrival must reach follower pools
-	// no later than the digest that references them.
-	n.flushPayloadSync()
-	ids := make([]types.TxID, len(msg.Block.Payload))
-	for i := range msg.Block.Payload {
-		ids[i] = msg.Block.Payload[i].ID
-	}
-	return types.ProposalMsg{Block: msg.Block.StripPayload(), TC: msg.TC, PayloadIDs: ids}
 }
 
 // equivocast sends msgA to the lower half of the replicas and msgB to
@@ -110,14 +90,10 @@ func (n *Node) takePayload() []types.Transaction {
 }
 
 // returnPayload puts an unused batch back at the front of the queue.
-// In digest mode the recovered transactions are re-synced to peers:
-// followers scrubbed them from their pools when the forked block
-// attached, and the coming re-proposal must resolve against something.
 func (n *Node) returnPayload(payload []types.Transaction) {
 	if len(payload) == 0 {
 		return
 	}
-	n.queuePayloadSync(payload)
 	if n.policy.LightweightPool {
 		// Never append into the payload slice: it may share a
 		// backing array with a later block's payload (blocks travel
@@ -138,8 +114,8 @@ func (n *Node) returnPayload(payload []types.Transaction) {
 func (n *Node) stampPayloadOwnership([]types.Transaction) {}
 
 // onProposal handles a block proposal (or a fetched ancestor).
-// verified means the signatures were already checked — by this
-// replica having produced the message, or by the verification pool.
+// verified means the signatures need no check: this replica produced
+// the message.
 func (n *Node) onProposal(from types.NodeID, m types.ProposalMsg, verified bool) {
 	b := m.Block
 	if b == nil || b.QC == nil {
@@ -159,16 +135,20 @@ func (n *Node) onProposal(from types.NodeID, m types.ProposalMsg, verified bool)
 	if b.Proposer != n.elect.Leader(b.View) {
 		return
 	}
+	if from != n.id {
+		// The span's receive stamp is arrival, before verification —
+		// the verify stage starts here.
+		n.trace.OnReceived(id, b.View, b.Proposer, len(b.Payload))
+	}
 	if !verified {
 		if err := crypto.VerifyProposal(n.scheme, b, n.cfg.Quorum()); err != nil {
 			return
 		}
-		// The signed ID covers the payload only through its digest;
-		// a full-payload proposal must actually match that digest, or
-		// a Byzantine proposer could ship one signed ID with
-		// divergent payloads to different replicas. (Digest-only
-		// proposals are checked during resolution instead.)
-		if len(b.Payload) > 0 && types.DigestPayload(b.Payload) != b.PayloadDigest() {
+		// The signed ID covers the payload only through its digest, so
+		// the block must carry exactly the payload that digest commits
+		// to — or a Byzantine proposer could get one signed ID
+		// committed with divergent payloads on different replicas.
+		if !b.CarriesPayload() {
 			return
 		}
 	}
@@ -181,23 +161,8 @@ func (n *Node) onProposal(from types.NodeID, m types.ProposalMsg, verified bool)
 	if m.TC != nil && from != n.id {
 		n.onTC(m.TC, !verified)
 	}
-	// Authenticated: the span's verify stage ends here (for pool-checked
-	// messages this includes the queue wait, which is the point — the
-	// verify stage measures what a replica pays before it can act).
+	// Authenticated: the span's verify stage ends here.
 	n.trace.OnVerified(id)
-	if m.IsDigest() && from != n.id {
-		// Data-plane resolution: rebuild the payload from the local
-		// pool; on a miss, park the proposal one link delay — the
-		// payload usually races the proposal over the client fan-out
-		// path — before falling back to a fetch.
-		resolved := n.resolveDigest(m)
-		if resolved == nil {
-			n.parkDigest(from, m)
-			return
-		}
-		n.pipeline.OnDigestResolved()
-		b = resolved
-	}
 
 	attached, err := n.forest.Add(b)
 	switch err {
@@ -235,132 +200,6 @@ func (n *Node) onProposal(from types.NodeID, m types.ProposalMsg, verified bool)
 		if ab == b {
 			n.maybeVote(b, m.TC)
 		}
-	}
-}
-
-// resolveDigest rebuilds a digest proposal's payload from the indexed
-// mempool: first the batch cache (duplicate digests — echoes,
-// retransmissions — cost one map hit), then per-transaction lookup
-// with the digest recomputed over the assembled batch. nil means the
-// payload cannot be resolved locally and the caller must fetch.
-func (n *Node) resolveDigest(m types.ProposalMsg) *types.Block {
-	b := m.Block
-	want := b.PayloadDigest()
-	if payload, ok := n.pool.BatchByDigest(want); ok {
-		return b.WithPayload(payload)
-	}
-	if n.policy.LightweightPool {
-		return nil
-	}
-	payload, missing := n.pool.Resolve(m.PayloadIDs)
-	if len(missing) > 0 {
-		return nil
-	}
-	if types.DigestPayload(payload) != want {
-		return nil
-	}
-	n.pool.CacheBatch(want, payload)
-	return b.WithPayload(payload)
-}
-
-// digestWaitLimit bounds the parked-proposal set; past it, misses go
-// straight to the fetch fallback.
-const digestWaitLimit = 256
-
-// digestRetryMax is how many times a digest proposal re-attempts
-// resolution before fetching the full block.
-const digestRetryMax = 2
-
-// parkDigest holds an unresolvable digest proposal for a short retry.
-// The data plane and the consensus plane race over the same links, so
-// the missing transactions are usually one link delay (or one
-// payload-sync flush) behind the proposal; fetching the full block
-// immediately would waste the digest's entire bandwidth saving on
-// every near-miss. Retries back off geometrically from roughly the
-// link-delay spread up to the sync flush interval.
-func (n *Node) parkDigest(from types.NodeID, m types.ProposalMsg) {
-	id := m.Block.ID()
-	if _, parked := n.digestWait[id]; parked {
-		return // a retry is already scheduled
-	}
-	if len(n.digestWait) >= digestWaitLimit {
-		n.fetchFullBlock(from, m.Block)
-		return
-	}
-	n.digestWait[id] = 0
-	n.scheduleDigestRetry(from, m, 0)
-}
-
-// scheduleDigestRetry arms retry number `attempt` (0-based).
-func (n *Node) scheduleDigestRetry(from types.NodeID, m types.ProposalMsg, attempt int) {
-	delay := n.cfg.Delay + 4*n.cfg.DelayStd
-	if delay < 200*time.Microsecond {
-		delay = 200 * time.Microsecond
-	}
-	delay <<= attempt
-	if delay > 4*payloadSyncInterval {
-		delay = 4 * payloadSyncInterval
-	}
-	time.AfterFunc(delay, func() {
-		select {
-		case n.events <- digestRetryEvent{from: from, msg: m}:
-		case <-n.stopCh:
-		}
-	})
-}
-
-// onDigestRetry re-attempts a parked digest proposal; once the retry
-// budget is spent it falls back to fetching the full block from the
-// sender (the seen-already check in onProposal deduplicates the
-// eventual re-delivery).
-func (n *Node) onDigestRetry(from types.NodeID, m types.ProposalMsg) {
-	id := m.Block.ID()
-	attempt, parked := n.digestWait[id]
-	if !parked {
-		return
-	}
-	if n.forest.Contains(id) {
-		delete(n.digestWait, id)
-		return
-	}
-	if resolved := n.resolveDigest(m); resolved != nil {
-		delete(n.digestWait, id)
-		n.pipeline.OnDigestResolved()
-		// The BLOCK's signatures were verified before it parked, but
-		// the piggybacked TC was only verified on the first pass in
-		// async mode (the pool strips invalid ones). Re-delivering it
-		// as pre-verified would let a TC the sync path rejected back
-		// in unchecked — verify it here before forwarding.
-		tc := m.TC
-		if tc != nil {
-			if crypto.VerifyTC(n.scheme, tc, n.cfg.Quorum()) != nil {
-				tc = nil
-			} else if tc.HighQC != nil && !tc.HighQC.IsGenesis() &&
-				crypto.VerifyQC(n.scheme, tc.HighQC, n.cfg.Quorum()) != nil {
-				tc = nil
-			}
-		}
-		n.onProposal(from, types.ProposalMsg{Block: resolved, TC: tc}, true)
-		return
-	}
-	if attempt+1 < digestRetryMax {
-		n.digestWait[id] = attempt + 1
-		n.scheduleDigestRetry(from, m, attempt+1)
-		return
-	}
-	delete(n.digestWait, id)
-	n.fetchFullBlock(from, m.Block)
-}
-
-// fetchFullBlock requests the full block from the sender and — when
-// the sender is a relay (a Streamlet echoer may itself hold the
-// proposal unresolved) — from the proposer, which built the block and
-// is the one replica guaranteed to have its payload.
-func (n *Node) fetchFullBlock(from types.NodeID, b *types.Block) {
-	n.pipeline.OnDigestFetched()
-	n.net.Send(from, types.FetchMsg{BlockID: b.ID()})
-	if b.Proposer != from && b.Proposer != n.id {
-		n.net.Send(b.Proposer, types.FetchMsg{BlockID: b.ID()})
 	}
 }
 
@@ -430,8 +269,7 @@ func (n *Node) maybeVote(b *types.Block, tc *types.TC) {
 }
 
 // onVote aggregates a vote; a completed quorum forms a QC. verified
-// means the signature was already checked off-loop (or the vote is
-// this replica's own).
+// means the vote is this replica's own.
 func (n *Node) onVote(v *types.Vote, verified bool) {
 	if v == nil {
 		return
@@ -500,8 +338,10 @@ func (n *Node) bufferQC(qc *types.QC) {
 	n.pendingQCs[qc.BlockID] = qc
 }
 
-// commit finalizes target and its prefix, executes payloads, replies
-// to owned clients, and recycles forked transactions.
+// commit finalizes target and its prefix, hands each committed block
+// to the ordered apply stage (execution, ledger, snapshot capture),
+// replies to owned clients, and recycles forked transactions. A reply
+// therefore means committed, not yet executed or persisted locally.
 func (n *Node) commit(target *types.Block) {
 	res, err := n.forest.Commit(target.ID())
 	if err != nil {
@@ -535,27 +375,8 @@ func (n *Node) commit(target *types.Block) {
 		// extend the replayed tip — and anchors the state snapshot
 		// the apply stage captures on interval boundaries.
 		selfQC := n.commitCert(res.Committed, i)
-		takeSnap := height == snapHeight && selfQC != nil
-		if n.apply != nil {
-			// Stage 3: execution and persistence ride the ordered
-			// commit-apply goroutine so the loop returns to voting.
-			n.apply.enqueue(applyJob{block: cb, height: height, committedAt: now,
-				selfQC: selfQC, snapshot: takeSnap})
-		} else {
-			if n.opts.Ledger != nil {
-				// Persistence is best-effort relative to consensus:
-				// the in-memory chain stays authoritative on append
-				// failure.
-				_ = n.opts.Ledger.AppendCertified(cb, height, selfQC)
-			}
-			if n.opts.Execute != nil {
-				n.opts.Execute(cb.Payload)
-			}
-			if takeSnap {
-				n.captureSnapshot(cb, height, selfQC)
-			}
-			n.onExecuted(cb.ID())
-		}
+		n.apply.enqueue(applyJob{block: cb, height: height, committedAt: now,
+			selfQC: selfQC, snapshot: height == snapHeight && selfQC != nil})
 		if n.opts.CommitSeries != nil {
 			n.opts.CommitSeries.Add(now, uint64(len(cb.Payload)))
 		}
@@ -624,9 +445,9 @@ func (n *Node) broadcastTimeout(view types.View) {
 }
 
 // onTimeoutMsg aggregates a timeout; a completed quorum forms a TC
-// that is forwarded to the next leader. verified means the signature
-// (and the carried QC, which the verification pool strips when
-// invalid) was already checked.
+// that is forwarded to the next leader. verified means the timeout is
+// this replica's own, so neither its signature nor its carried QC
+// needs a check.
 func (n *Node) onTimeoutMsg(t *types.Timeout, verified bool) {
 	if t == nil {
 		return
@@ -717,9 +538,7 @@ func (n *Node) onNewView(tc *types.TC) {
 	n.propose(view, tc)
 }
 
-// onRequest admits a client transaction into the replica's pool. In
-// digest mode the transaction is also queued for the next payload-sync
-// broadcast, so peers can resolve digest proposals locally.
+// onRequest admits a client transaction into the replica's pool.
 func (n *Node) onRequest(from types.NodeID, tx types.Transaction) {
 	if n.policy.LightweightPool {
 		if len(n.lightPool) >= 4*n.cfg.MemSize {
@@ -738,7 +557,6 @@ func (n *Node) onRequest(from types.NodeID, tx types.Transaction) {
 		return
 	}
 	n.owned[tx.ID] = from
-	n.queuePayloadSync([]types.Transaction{tx})
 }
 
 // rejectTx delivers an admission rejection to whoever submitted the
@@ -753,57 +571,6 @@ func (n *Node) rejectTx(from types.NodeID, id types.TxID) {
 		return
 	}
 	n.net.Send(from, types.ReplyMsg{TxID: id, Rejected: true})
-}
-
-// payloadSyncInterval bounds how long a buffered transaction waits for
-// the next payload-sync broadcast.
-const payloadSyncInterval = time.Millisecond
-
-// queuePayloadSync buffers transactions for the next payload-sync
-// broadcast (digest mode's data plane), flushing when a block-sized
-// batch accumulates and arming the flush timer otherwise.
-func (n *Node) queuePayloadSync(txs []types.Transaction) {
-	if !n.cfg.DigestProposals || n.policy.LightweightPool || len(txs) == 0 {
-		return
-	}
-	n.syncBuf = append(n.syncBuf, txs...)
-	if len(n.syncBuf) >= n.cfg.BlockSize {
-		n.flushPayloadSync()
-	} else if !n.syncArmed {
-		n.syncArmed = true
-		time.AfterFunc(payloadSyncInterval, func() {
-			select {
-			case n.events <- flushPayloadEvent{}:
-			case <-n.stopCh:
-			}
-		})
-	}
-}
-
-// flushPayloadSync broadcasts the buffered transactions to peer
-// mempools — data-plane dissemination in batches, off the consensus
-// critical path.
-func (n *Node) flushPayloadSync() {
-	if len(n.syncBuf) == 0 {
-		return
-	}
-	txs := n.syncBuf
-	n.syncBuf = nil
-	n.net.Broadcast(types.PayloadBatchMsg{Txs: txs})
-}
-
-// onPayloadBatch admits peer-synced transactions. No ownership is
-// recorded: the replica that accepted the transaction from its client
-// owns the commit reply.
-func (n *Node) onPayloadBatch(m types.PayloadBatchMsg) {
-	if n.policy.LightweightPool {
-		return
-	}
-	for i := range m.Txs {
-		// Duplicates and overflow are fine: the pool is an index,
-		// and the fetch fallback covers whatever it cannot hold.
-		_ = n.pool.Add(m.Txs[i])
-	}
 }
 
 // onFetch serves a missing-ancestor request from the local forest.

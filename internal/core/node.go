@@ -7,8 +7,10 @@
 //
 // Each replica runs a single event-loop goroutine; every message and
 // timer event funnels into it, so the forest and rules never need
-// locks. Cross-thread reads (benchmarker, HTTP API) go through the
-// snapshot published on every commit.
+// locks. Committed blocks are executed and persisted behind it, in
+// commit order, on one apply goroutine. Cross-thread reads
+// (benchmarker, HTTP API) go through the snapshot published on every
+// commit.
 package core
 
 import (
@@ -137,15 +139,6 @@ type Node struct {
 
 	// pendingQCs holds certificates for blocks not yet attached.
 	pendingQCs map[types.Hash]*types.QC
-	// digestWait tracks digest proposals parked awaiting their
-	// payload on the data plane, keyed by block ID with the retry
-	// attempt already taken (fetch fallback after the budget).
-	digestWait map[types.Hash]int
-	// syncBuf accumulates client transactions awaiting the next
-	// payload-sync broadcast (digest mode's data plane); syncArmed
-	// tracks whether a flush timer is pending.
-	syncBuf   []types.Transaction
-	syncArmed bool
 	// echoSeen deduplicates echoed messages (Streamlet).
 	echoSeen map[types.Hash]struct{}
 	// owned maps transactions this replica accepted to the client
@@ -165,14 +158,12 @@ type Node struct {
 	tracker  *metrics.ChainTracker
 	pipeline *metrics.PipelineTracker
 	trace    *trace.Tracer
-	// verif, when non-nil (cfg.AsyncVerify), checks signatures off
-	// the event loop (pipeline stage 2).
-	verif *verifier
-	// apply, when non-nil (cfg.AsyncCommit plus an Execute hook or
-	// ledger), executes committed blocks off the event loop
-	// (pipeline stage 3).
-	apply *applier
-	opts  Options
+	// apply is the ordered apply stage Start launches: every committed
+	// block is executed, persisted and traced there, off the event
+	// loop. applyQueue bounds its backlog in blocks.
+	apply      *applier
+	applyQueue int
+	opts       Options
 	// commitListeners run on the event loop for each committed
 	// block; registered before Start (HTTP API waiters).
 	commitListeners []func(types.View, types.Hash, []types.Transaction)
@@ -207,16 +198,6 @@ type proposeEvent struct {
 	view types.View
 	tc   *types.TC
 }
-
-// digestRetryEvent re-delivers a parked digest proposal after the
-// data-plane wait (see parkDigest).
-type digestRetryEvent struct {
-	from types.NodeID
-	msg  types.ProposalMsg
-}
-
-// flushPayloadEvent fires the payload-sync flush timer (digest mode).
-type flushPayloadEvent struct{}
 
 // NewNode assembles a replica. The rules factory receives the node's
 // forest-backed environment; Byzantine nodes (per cfg) get their rules
@@ -266,12 +247,12 @@ func NewNode(id types.NodeID, cfg config.Config, factory safety.Factory,
 		net:        net,
 		scheme:     scheme,
 		pendingQCs: make(map[types.Hash]*types.QC),
-		digestWait: make(map[types.Hash]int),
 		echoSeen:   make(map[types.Hash]struct{}),
 		owned:      make(map[types.TxID]types.NodeID),
 		tracker:    &metrics.ChainTracker{},
 		pipeline:   &metrics.PipelineTracker{},
 		trace:      trace.New(id, opts.TraceSpans, opts.TraceEvents),
+		applyQueue: defaultApplyQueue,
 		opts:       opts,
 		events:     make(chan any, 64),
 		stopCh:     make(chan struct{}),
@@ -288,8 +269,8 @@ func (n *Node) ID() types.NodeID { return n.id }
 // Tracker exposes the chain micro-metrics (CGR, BI).
 func (n *Node) Tracker() *metrics.ChainTracker { return n.tracker }
 
-// Pipeline exposes the per-stage hot-path instrumentation: verify
-// queue wait, apply lag, and the digest/batch fast-path counters.
+// Pipeline exposes the per-stage hot-path instrumentation: apply lag,
+// safety-WAL syncs, and the state-sync and snapshot counters.
 func (n *Node) Pipeline() *metrics.PipelineTracker { return n.pipeline }
 
 // Trace exposes the block-lifecycle tracer (GET /debug/trace reads
@@ -388,32 +369,26 @@ func (n *Node) AddRejectListener(fn func(types.TxID)) {
 	n.rejectListeners = append(n.rejectListeners, fn)
 }
 
-// Start launches the event loop plus, per configuration, the
-// verification pool and the commit-apply stage. With Bootstrap set,
-// the replica first replays its own snapshot + ledger into forest and
-// state machine, so it rejoins at the height it went down at. The
-// first leader proposes once its view timer is armed; all other
-// replicas follow the QC chain.
+// Start launches the event loop and the ordered apply stage. With
+// Bootstrap set, the replica first replays its own snapshot + ledger
+// into forest and state machine, so it rejoins at the height it went
+// down at. The first leader proposes once its view timer is armed; all
+// other replicas follow the QC chain.
 func (n *Node) Start() {
 	if n.opts.Bootstrap {
 		n.bootstrap()
 	}
 	n.restoreSafety()
-	if n.cfg.AsyncVerify {
-		n.verif = newVerifier(n, n.cfg.VerifyWorkers)
-	}
-	if n.cfg.AsyncCommit && (n.opts.Execute != nil || n.opts.Ledger != nil) {
-		n.apply = newApplier(n, n.cfg.ApplyQueue)
-	}
+	n.apply = newApplier(n, n.applyQueue)
 	n.pm.Start()
 	n.started.Store(true)
 	go n.run()
 }
 
-// Stop terminates the event loop, then drains the pipeline stages:
-// the verification pool is joined, and every block committed before
-// shutdown finishes executing before Stop returns. On a node that was
-// never started it returns at once: there is no loop to wait for.
+// Stop terminates the event loop, then drains the apply stage: every
+// block committed before shutdown finishes executing before Stop
+// returns. On a node that was never started it returns at once: there
+// is no loop to wait for.
 func (n *Node) Stop() {
 	n.stopOnce.Do(func() {
 		close(n.stopCh)
@@ -422,12 +397,7 @@ func (n *Node) Stop() {
 		}
 		<-n.doneCh
 		n.pm.Stop()
-		if n.verif != nil {
-			n.verif.stop()
-		}
-		if n.apply != nil {
-			n.apply.stop()
-		}
+		n.apply.stop()
 	})
 }
 
@@ -459,42 +429,10 @@ func (n *Node) run() {
 }
 
 // dispatch routes one event on the loop goroutine. Messages from this
-// replica itself and re-injected verifier output count as verified;
-// everything else still needs its signatures checked.
+// replica itself count as verified; everything else has its
+// signatures checked by the handler.
 func (n *Node) dispatch(from types.NodeID, msg any) {
-	if env, ok := msg.(verifiedEnv); ok {
-		n.route(env.from, env.msg, true)
-		return
-	}
-	n.route(from, msg, from == n.id)
-}
-
-// route handles one event, offloading signature checks to the
-// verification pool when stage 2 is enabled. If the pool's queue is
-// full the message is verified inline — bounded memory beats backlog.
-func (n *Node) route(from types.NodeID, msg any, verified bool) {
-	if !verified && n.verif != nil {
-		offload := false
-		switch m := msg.(type) {
-		case types.ProposalMsg:
-			// Duplicates (echo traffic) die on the seen-check for a
-			// map lookup; don't pay pool crypto for them.
-			offload = m.Block == nil || !n.forest.Contains(m.Block.ID())
-			if offload && m.Block != nil && m.Block.QC != nil {
-				// The span's receive stamp is arrival, before any
-				// verification queueing — the verify stage starts here.
-				n.trace.OnReceived(m.Block.ID(), m.Block.View, m.Block.Proposer, len(m.Block.Payload))
-			}
-		case types.VoteMsg, types.TimeoutMsg, types.TCMsg:
-			offload = true
-		}
-		if offload {
-			if n.verif.submit(from, msg) {
-				return
-			}
-			n.pipeline.OnInlineVerify()
-		}
-	}
+	verified := from == n.id
 	switch m := msg.(type) {
 	case types.ProposalMsg:
 		n.onProposal(from, m, verified)
@@ -512,7 +450,7 @@ func (n *Node) route(from types.NodeID, msg any, verified bool) {
 		n.onSyncRequest(from, m)
 	case types.SyncResponseMsg:
 		// Self-authenticating: the handler verifies the embedded
-		// certificates, so the pool's verified flag is irrelevant.
+		// certificates.
 		n.onSyncResponse(from, m)
 	case types.SnapshotRequestMsg:
 		n.onSnapshotRequest(from, m)
@@ -533,13 +471,6 @@ func (n *Node) route(from types.NodeID, msg any, verified bool) {
 		// modelled there).
 	case proposeEvent:
 		n.propose(m.view, m.tc)
-	case digestRetryEvent:
-		n.onDigestRetry(m.from, m.msg)
-	case types.PayloadBatchMsg:
-		n.onPayloadBatch(m)
-	case flushPayloadEvent:
-		n.syncArmed = false
-		n.flushPayloadSync()
 	}
 }
 
@@ -571,9 +502,8 @@ func (n *Node) noteSnapshot(height uint64, digest types.Hash) {
 
 // onExecuted stamps a block's execution completion and feeds its
 // per-stage durations into the chain tracker's stage histograms.
-// Called from the event loop (inline commit path) or the commit-apply
-// goroutine (stage 3); both the tracer and the stage histograms are
-// safe for that.
+// Called from the apply stage's goroutine; both the tracer and the
+// stage histograms are safe for that.
 func (n *Node) onExecuted(id types.Hash) {
 	sp, ok := n.trace.OnExecuted(id)
 	if !ok {

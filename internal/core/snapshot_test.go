@@ -118,7 +118,7 @@ func TestSnapshotInstallHappyPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() { _ = led.Close() }()
+	t.Cleanup(func() { _ = led.Close() })
 	fx := newSyncFixture(t, cfg, led)
 	triggerSnapshotPhase(t, fx)
 
@@ -142,6 +142,7 @@ func TestSnapshotInstallHappyPath(t *testing.T) {
 		t.Fatalf("chunk source %s, want the episode target n1", fx.n.catchup.chunkSrc)
 	}
 	serveChunks(t, fx, 1, man, payload)
+	fx.settle()
 
 	if h := fx.n.forest.CommittedHeight(); h != 30 {
 		t.Fatalf("committed height %d after install, want 30", h)
@@ -175,6 +176,7 @@ func TestSnapshotInstallHappyPath(t *testing.T) {
 	}
 	fx.n.onSyncResponse(1, types.SyncResponseMsg{From: 31, Blocks: fx.chain[30:], Head: 40, Floor: 31})
 	wantHeight := uint64(40 - syncHoldback)
+	fx.settle()
 	if h := fx.n.forest.CommittedHeight(); h != wantHeight {
 		t.Fatalf("suffix advanced to %d, want %d", h, wantHeight)
 	}
@@ -389,6 +391,7 @@ func TestSnapshotRejectsTamperedChunk(t *testing.T) {
 	}
 	// The honest peer finishes the stream.
 	serveChunks(t, fx, 3, man, payload)
+	fx.settle()
 	if fx.n.forest.CommittedHeight() != 30 {
 		t.Fatal("install did not recover from the tampered chunk")
 	}
@@ -407,7 +410,7 @@ func TestBootstrapReplaysOwnLedger(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() { _ = led.Close() }()
+	t.Cleanup(func() { _ = led.Close() })
 	fx := newSyncFixture(t, cfg, led)
 	for i, b := range fx.chain[:20] {
 		if err := led.AppendCertified(b, uint64(i+1), fx.chain[i+1].QC); err != nil {
@@ -455,7 +458,7 @@ func TestBootstrapFromSnapshotAndSuffix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() { _ = led.Close() }()
+	t.Cleanup(func() { _ = led.Close() })
 	fx := newSyncFixture(t, cfg, led)
 
 	man, payload := buildManifest(t, fx, 30, snapshot.ChunkSize)
@@ -508,7 +511,7 @@ func TestBootstrapNoopOnFreshDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() { _ = led.Close() }()
+	t.Cleanup(func() { _ = led.Close() })
 	fx := newSyncFixture(t, cfg, led)
 	fx.n.opts.Bootstrap = true
 	fx.n.bootstrap()

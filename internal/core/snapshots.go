@@ -53,8 +53,7 @@ func (n *Node) commitCert(committed []*types.Block, i int) *types.QC {
 	return nil
 }
 
-// captureSnapshot runs on the apply stage (or inline, without it)
-// right after the block at height executed: it serializes the state
+// captureSnapshot runs on the apply stage right after the block at height executed: it serializes the state
 // machine, persists the snapshot, and compacts the ledger prefix the
 // snapshot now covers. Compaction only follows a successful save — a
 // prefix must never be dropped before its replacement is durable.

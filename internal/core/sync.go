@@ -270,7 +270,7 @@ func (n *Node) endSync() {
 
 // onSyncRequest serves a ranged catch-up request from the persistent
 // ledger, falling back to the forest for heights the ledger has not
-// flushed yet (the commit-apply stage appends asynchronously). The
+// flushed yet (the apply stage appends asynchronously). The
 // response is best-effort and contiguous: if neither source holds some
 // height, the range is cut short and the requester simply asks again
 // from wherever it lands. A request starting below the ledger's
@@ -336,7 +336,7 @@ func (n *Node) onSyncRequest(from types.NodeID, m types.SyncRequestMsg) {
 		if !ok {
 			break // compacted below the window and not yet in the ledger
 		}
-		if len(b.Payload) == 0 && !b.PayloadDigest().IsZero() {
+		if !b.CarriesPayload() {
 			// A payload-stripped header — the block a snapshot install
 			// planted at its height. Its transactions live inside the
 			// snapshot state, not here; serving the header would hand
@@ -482,12 +482,8 @@ func (n *Node) verifySyncChain(blocks []*types.Block) bool {
 		if b.QC.IsGenesis() && prevID != genesisID {
 			return false
 		}
-		if len(b.Payload) > 0 {
-			if types.DigestPayload(b.Payload) != b.PayloadDigest() {
-				return false
-			}
-		} else if !b.PayloadDigest().IsZero() {
-			return false // payload withheld: a stripped header
+		if !b.CarriesPayload() {
+			return false // a stripped header or a substituted payload
 		}
 		if err := crypto.VerifyQC(n.scheme, b.QC, quorum); err != nil {
 			return false
@@ -756,11 +752,7 @@ func (n *Node) installSnapshot() {
 		Payload:     ep.buf,
 	}
 	n.adoptSnapshot(man.Block, man.QC, man.Height, man.StateDigest)
-	if n.apply != nil {
-		n.apply.enqueue(applyJob{install: snap})
-	} else {
-		n.applyInstall(snap)
-	}
+	n.apply.enqueue(applyJob{install: snap})
 	n.pipeline.OnSnapshotInstalled()
 
 	// Suffix: continue the blocks phase from the snapshot height,

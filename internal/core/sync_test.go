@@ -106,12 +106,24 @@ func newSyncFixture(t *testing.T, cfg config.Config, led *ledger.Ledger) *syncFi
 			t.Errorf("violation during sync: %v", err)
 		},
 	})
+	// The fixture drives handlers directly, without an event loop, but
+	// commits and snapshot installs still ride the apply stage.
+	n.apply = newApplier(n, n.applyQueue)
+	t.Cleanup(func() { n.apply.stop() })
 	return &syncFixture{
 		n:     n,
 		store: store,
 		peers: peers,
 		chain: buildCertifiedChain(t, scheme, cfg, 40),
 	}
+}
+
+// settle returns once the apply stage has run every job enqueued so
+// far; assertions on the state machine, ledger or snapshot store
+// follow it.
+func (fx *syncFixture) settle() {
+	fx.n.apply.stop()
+	fx.n.apply = newApplier(fx.n, fx.n.applyQueue)
 }
 
 // triggerDeepSync feeds the fixture an orphan whose certificate is far
@@ -164,11 +176,12 @@ func TestDeepSyncHappyPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() { _ = led.Close() }()
+	t.Cleanup(func() { _ = led.Close() })
 	fx := newSyncFixture(t, cfg, led)
 	fx.triggerDeepSync(t, 1)
 
 	fx.n.onSyncResponse(1, types.SyncResponseMsg{From: 1, Blocks: fx.chain, Head: 40})
+	fx.settle()
 	wantHeight := uint64(len(fx.chain) - syncHoldback)
 	if got := fx.n.forest.CommittedHeight(); got != wantHeight {
 		t.Fatalf("committed height %d after sync, want %d (holdback %d)", got, wantHeight, syncHoldback)

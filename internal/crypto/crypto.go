@@ -71,6 +71,22 @@ type Scheme interface {
 	Verify(signer types.NodeID, digest, sig []byte) error
 }
 
+// BatchItem is one (signer, digest, signature) triple of a batch
+// verification.
+type BatchItem struct {
+	Signer types.NodeID
+	Digest []byte
+	Sig    []byte
+}
+
+// BatchScheme is implemented by schemes with a batch equation: one
+// check of many signatures, cheaper than checking them one by one,
+// that returns nil only when every item is valid. Ed25519 has one;
+// HMAC and Noop do not, and their signatures are checked singly.
+type BatchScheme interface {
+	VerifyBatch(items []BatchItem) error
+}
+
 // NewScheme constructs the named scheme for n replicas with a
 // deterministic seed (keys are derived from the seed so every process
 // in a test cluster can derive the same keyring).

@@ -160,6 +160,51 @@ func TestVerifyQC(t *testing.T) {
 	}
 }
 
+// TestQCBatchByzantineSignature is the adversarial case: a Byzantine
+// voter smuggles a garbage signature into an otherwise valid quorum
+// certificate. The certificate is checked as one batch equation under
+// the strict rule, so the garbage signature voids it even though the
+// honest signers alone still reach the quorum — there is no
+// quorum-of-valid fallback whose verdict could differ between
+// replicas. The same holds when the certificate rides in a proposal
+// and is batched with the proposer's signature.
+func TestQCBatchByzantineSignature(t *testing.T) {
+	const n, quorum = 7, 5
+	s := NewEd25519(n, 1)
+	blockID := types.Hash{0xab}
+	qc := buildQC(t, s, 3, blockID, []types.NodeID{1, 2, 3, 4, 5, 6})
+	// propose signs a view-4 block extending blockID as its leader.
+	propose := func() *types.Block {
+		b := &types.Block{View: 4, Proposer: 4, Parent: blockID, QC: qc}
+		sig, err := s.Sign(b.Proposer, types.SigningDigest(b.View, b.ID()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Sig = sig
+		return b
+	}
+	if err := VerifyQC(s, qc, quorum); err != nil {
+		t.Fatalf("valid QC rejected: %v", err)
+	}
+	if err := VerifyProposal(s, propose(), quorum); err != nil {
+		t.Fatalf("valid proposal rejected: %v", err)
+	}
+	// Voter 2 is Byzantine: its signature is garbage, but five honest
+	// signatures remain.
+	qc.Sigs[1] = []byte("byzantine garbage")
+	if err := VerifyQC(s, qc, quorum); err == nil {
+		t.Fatal("QC with a garbage signature accepted on its valid quorum")
+	}
+	if err := VerifyProposal(s, propose(), quorum); err == nil {
+		t.Fatal("proposal carrying a QC with a garbage signature accepted")
+	}
+	// Strip one more honest vote: below quorum of valid signatures.
+	qc.Sigs[2] = []byte("more garbage")
+	if err := VerifyQC(s, qc, quorum); err == nil {
+		t.Fatal("QC below quorum of valid signatures accepted")
+	}
+}
+
 func TestVerifyTC(t *testing.T) {
 	s := NewEd25519(4, 1)
 	tc := &types.TC{View: 9}

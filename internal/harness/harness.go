@@ -194,8 +194,8 @@ type Point struct {
 	// window.
 	NetMsgs  uint64 `json:"netMsgs"`
 	NetBytes uint64 `json:"netBytes"`
-	// Pipeline sums the pipeline stage counters over honest replicas
-	// (all zero when the pipeline stages are disabled).
+	// Pipeline sums the apply, WAL, sync and snapshot counters over
+	// honest replicas.
 	Pipeline metrics.PipelineStats `json:"pipeline"`
 }
 

@@ -9,14 +9,14 @@
 //	              transaction commits (or the request times out).
 //	GET  /status  replica snapshot: current view, committed height,
 //	              state-sync progress (Syncing/SyncApplied), the
-//	              per-stage pipeline latencies (verify-queue wait,
-//	              apply lag), and — on TCP deployments — the
-//	              endpoint's transport counters (msgs, bytes, dials).
+//	              apply stage's lag behind commit, and — on TCP
+//	              deployments — the endpoint's transport counters
+//	              (msgs, bytes, dials).
 //	GET  /hash    committed block hash at ?height=N (consistency check).
 //	GET  /chain   chain micro-metrics as JSON (CGR, BI, committed
 //	              counts, per-proposer commit shares, Gini, per-stage
-//	              histograms) plus the pipeline stage counters under
-//	              "pipeline".
+//	              histograms) plus the apply, WAL, sync and snapshot
+//	              counters under "pipeline".
 //	GET  /metrics Prometheus text exposition of every replica counter
 //	              and histogram (chain, stages, mempool admission, WAL
 //	              syncs, sync, snapshot, pipeline). Scrape-ready with
@@ -200,12 +200,11 @@ func (s *Server) handleTx(w http.ResponseWriter, r *http.Request) {
 }
 
 // statusResponse augments the replica snapshot (which carries the
-// state-sync progress and snapshot-height fields) with the pipeline's
-// per-stage latencies and the snapshot/restart counters, so operators
-// can see at a glance whether the verification pool or the
-// commit-apply stage is the bottleneck, whether the replica is still
-// streaming catch-up batches, and how it last recovered (snapshot
-// install vs ledger replay). StateDigest renders the latest snapshot
+// state-sync progress and snapshot-height fields) with the apply lag
+// and the snapshot/restart counters, so operators can see at a glance
+// whether execution keeps up with commits, whether the replica is
+// still streaming catch-up batches, and how it last recovered
+// (snapshot install vs ledger replay). StateDigest renders the latest snapshot
 // digest in hex (empty until a snapshot exists). On transports that
 // keep their own counters (TCP deployments), Transport reports the
 // endpoint's traffic and connection churn; it is omitted on the
@@ -222,7 +221,6 @@ type statusResponse struct {
 	SnapshotInstalls uint64                  `json:"snapshotInstalls"`
 	SnapshotsServed  uint64                  `json:"snapshotsServed"`
 	ReplayedBlocks   uint64                  `json:"replayedBlocks"`
-	VerifyQueueWait  metrics.LatencySummary  `json:"verifyQueueWait"`
 	ApplyLag         metrics.LatencySummary  `json:"applyLag"`
 	Transport        *network.TransportStats `json:"transport,omitempty"`
 }
@@ -234,7 +232,6 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 		SnapshotInstalls: p.SnapshotInstalls,
 		SnapshotsServed:  p.SnapshotsServed,
 		ReplayedBlocks:   p.ReplayedBlocks,
-		VerifyQueueWait:  p.VerifyQueueWait,
 		ApplyLag:         p.ApplyLag,
 	}
 	if !resp.Status.SnapshotDigest.IsZero() {
@@ -263,7 +260,7 @@ func (s *Server) handleHash(w http.ResponseWriter, r *http.Request) {
 
 // chainResponse flattens the chain micro-metrics (unchanged wire shape
 // for existing consumers of the old JSON /metrics, which moved here)
-// and nests the pipeline stage counters.
+// and nests the apply, WAL, sync and snapshot counters.
 type chainResponse struct {
 	metrics.ChainStats
 	Pipeline metrics.PipelineStats `json:"pipeline"`

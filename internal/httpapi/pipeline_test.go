@@ -13,8 +13,8 @@ import (
 	"github.com/bamboo-bft/bamboo/internal/kvstore"
 )
 
-// TestPipelineMetricsExposed: with the pipeline stages on, /status
-// reports the per-stage latencies and /chain the stage counters.
+// TestPipelineMetricsExposed: /status reports the apply stage's lag
+// behind commit and /chain the apply stage's block counter.
 func TestPipelineMetricsExposed(t *testing.T) {
 	cfg := config.Default()
 	cfg.Protocol = config.ProtocolHotStuff
@@ -23,9 +23,6 @@ func TestPipelineMetricsExposed(t *testing.T) {
 	cfg.BlockSize = 20
 	cfg.MemSize = 10000
 	cfg.Timeout = 150 * time.Millisecond
-	cfg.DigestProposals = true
-	cfg.AsyncVerify = true
-	cfg.AsyncCommit = true
 	c, err := cluster.New(cfg, cluster.Options{WithStores: true})
 	if err != nil {
 		t.Fatal(err)
@@ -51,7 +48,6 @@ func TestPipelineMetricsExposed(t *testing.T) {
 	}
 	var status struct {
 		CommittedHeight uint64
-		VerifyQueueWait struct{ Count uint64 } `json:"verifyQueueWait"`
 		ApplyLag        struct{ Count uint64 } `json:"applyLag"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&status); err != nil {
@@ -60,9 +56,6 @@ func TestPipelineMetricsExposed(t *testing.T) {
 	_ = resp.Body.Close()
 	if status.CommittedHeight == 0 {
 		t.Fatalf("no commit: %+v", status)
-	}
-	if status.VerifyQueueWait.Count == 0 {
-		t.Fatalf("no verify-queue samples on the status endpoint: %+v", status)
 	}
 	if status.ApplyLag.Count == 0 {
 		t.Fatalf("no apply-lag samples on the status endpoint: %+v", status)
@@ -75,7 +68,6 @@ func TestPipelineMetricsExposed(t *testing.T) {
 	var m struct {
 		BlocksCommitted uint64
 		Pipeline        struct {
-			SigsVerified  uint64
 			BlocksApplied uint64
 		} `json:"pipeline"`
 	}
@@ -86,7 +78,7 @@ func TestPipelineMetricsExposed(t *testing.T) {
 	if m.BlocksCommitted == 0 {
 		t.Fatalf("no chain metrics: %+v", m)
 	}
-	if m.Pipeline.SigsVerified == 0 || m.Pipeline.BlocksApplied == 0 {
-		t.Fatalf("pipeline counters missing from /chain: %+v", m)
+	if m.Pipeline.BlocksApplied == 0 {
+		t.Fatalf("apply counter missing from /chain: %+v", m)
 	}
 }

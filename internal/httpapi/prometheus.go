@@ -128,14 +128,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	e.counter("bamboo_pool_queued_total", "Admissions that landed in the overflow band past the soft capacity.", pool.Queued)
 
 	// Pipeline counters.
-	e.counter("bamboo_sigs_verified_total", "Signatures checked by the verification pool.", pipe.SigsVerified)
-	e.counter("bamboo_verify_batches_total", "Batch verification calls.", pipe.BatchesVerified)
-	e.counter("bamboo_verify_batch_fallbacks_total", "Batches that fell back to per-signature verification.", pipe.BatchFallbacks)
-	e.counter("bamboo_verify_rejected_total", "Messages dropped for bad signatures.", pipe.VerifyRejected)
-	e.counter("bamboo_inline_verifies_total", "Messages verified on the event loop under pool backpressure.", pipe.InlineVerifies)
-	e.counter("bamboo_digest_resolved_total", "Digest proposals rebuilt from the local mempool.", pipe.DigestResolved)
-	e.counter("bamboo_digest_fetched_total", "Digest proposals that fell back to a full-block fetch.", pipe.DigestFetched)
-	e.counter("bamboo_blocks_applied_total", "Blocks executed by the commit-apply stage.", pipe.BlocksApplied)
+	e.counter("bamboo_blocks_applied_total", "Blocks executed by the ordered apply stage.", pipe.BlocksApplied)
 	e.counter("bamboo_sync_requests_sent_total", "Ranged catch-up requests issued in deep state sync.", pipe.SyncRequestsSent)
 	e.counter("bamboo_sync_batches_served_total", "Ranged batches served to lagging peers.", pipe.SyncBatchesServed)
 	e.counter("bamboo_sync_blocks_applied_total", "Committed blocks fast-forwarded through state sync.", pipe.SyncBlocksApplied)
@@ -148,7 +141,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// Pipeline latency histograms.
 	pipeHists := s.node.Pipeline().Hists()
 	for _, ph := range []struct{ key, help string }{
-		{"verify_queue_wait", "Wait between a message entering the verification queue and a worker picking it up."},
 		{"apply_lag", "Lag between a block committing and its payload finishing execution."},
 		{"wal_sync", "Durable safety-state append wait (the per-vote durability tax)."},
 	} {

@@ -95,7 +95,7 @@ func TestMetricsExposition(t *testing.T) {
 		"bamboo_pool_admitted_total ",
 		"bamboo_wal_syncs_total ",
 		"bamboo_pacemaker_timeouts_fired_total ",
-		"bamboo_verify_queue_wait_seconds_count ",
+		"bamboo_apply_lag_seconds_count ",
 	} {
 		if !strings.Contains(string(text), "\n"+series) && !strings.HasPrefix(string(text), series) {
 			t.Fatalf("exposition missing series %q", series)

@@ -105,63 +105,3 @@ func TestRemoveEverythingThenPushFront(t *testing.T) {
 		t.Fatalf("batch after drain: %v", out)
 	}
 }
-
-// TestResolveAndGet covers the digest-resolution index.
-func TestResolveAndGet(t *testing.T) {
-	p := New(64)
-	batch := []types.Transaction{mtx(1, 1), mtx(1, 2), mtx(1, 3)}
-	for _, tr := range batch {
-		if err := p.Add(tr); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, ok := p.Get(types.TxID{Client: 1, Seq: 2}); !ok {
-		t.Fatal("Get missed a queued transaction")
-	}
-	payload, missing := p.Resolve(txIDs(batch))
-	if len(missing) != 0 || len(payload) != 3 {
-		t.Fatalf("Resolve: payload=%d missing=%d", len(payload), len(missing))
-	}
-	for i := range batch {
-		if payload[i].ID != batch[i].ID {
-			t.Fatalf("Resolve order: %v at %d", payload[i].ID, i)
-		}
-	}
-	// Resolution must not consume the pool.
-	if p.Len() != 3 {
-		t.Fatalf("Resolve consumed the pool: Len = %d", p.Len())
-	}
-	_, missing = p.Resolve([]types.TxID{{Client: 1, Seq: 1}, {Client: 8, Seq: 8}})
-	if len(missing) != 1 || missing[0] != (types.TxID{Client: 8, Seq: 8}) {
-		t.Fatalf("missing = %v", missing)
-	}
-}
-
-// TestBatchCache covers lookup-by-digest with FIFO eviction.
-func TestBatchCache(t *testing.T) {
-	p := New(64)
-	batch := []types.Transaction{mtx(1, 1), mtx(1, 2)}
-	digest := types.DigestPayload(batch)
-	if _, ok := p.BatchByDigest(digest); ok {
-		t.Fatal("hit before caching")
-	}
-	p.CacheBatch(digest, batch)
-	got, ok := p.BatchByDigest(digest)
-	if !ok || len(got) != 2 {
-		t.Fatalf("cache miss after CacheBatch: %v %v", got, ok)
-	}
-	p.CacheBatch(digest, batch) // idempotent
-	// Evict by overflowing the bounded cache.
-	for i := 0; i < batchCacheLimit; i++ {
-		b := []types.Transaction{mtx(2, uint64(i+1))}
-		p.CacheBatch(types.DigestPayload(b), b)
-	}
-	if _, ok := p.BatchByDigest(digest); ok {
-		t.Fatal("oldest batch survived eviction")
-	}
-	// Zero digests and empty batches are never cached.
-	p.CacheBatch(types.Hash{}, batch)
-	if _, ok := p.BatchByDigest(types.Hash{}); ok {
-		t.Fatal("zero digest cached")
-	}
-}

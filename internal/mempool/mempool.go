@@ -47,27 +47,18 @@ type Stats struct {
 	Queued uint64
 }
 
-// batchCacheLimit bounds the digest→payload batch cache.
-const batchCacheLimit = 256
-
-// Pool is a capacity-bounded transaction deque, indexed by transaction
-// ID so digest-only proposals can be resolved without refetching the
-// payload from the leader.
+// Pool is a capacity-bounded transaction deque with a membership set
+// keyed by transaction ID.
 type Pool struct {
 	mu      sync.Mutex
 	q       deque
-	members map[types.TxID]types.Transaction
+	members map[types.TxID]struct{}
 	cap     int
 	// overflow is the extra admission band of PolicyQueue: Add keeps
 	// accepting up to cap+overflow members, counting the excess as
 	// queued instead of rejecting. Zero means PolicyReject.
 	overflow int
 	stats    Stats
-	// batches caches resolved payload batches by payload digest so
-	// duplicate digest proposals (echoes, retransmissions) resolve
-	// with one map hit; batchOrder drives FIFO eviction.
-	batches    map[types.Hash][]types.Transaction
-	batchOrder []types.Hash
 }
 
 // New creates a pool holding at most capacity transactions (Table I
@@ -81,9 +72,8 @@ func New(capacity int) *Pool {
 		// and a map pre-sized to a Table I memsize is megabytes of
 		// pointer-bearing buckets to clear there and to scan in every GC
 		// cycle after. It grows to what the load actually queues.
-		members: make(map[types.TxID]types.Transaction),
+		members: make(map[types.TxID]struct{}),
 		cap:     capacity,
-		batches: make(map[types.Hash][]types.Transaction),
 	}
 }
 
@@ -118,7 +108,7 @@ func (p *Pool) Add(tx types.Transaction) error {
 		p.stats.Queued++
 	}
 	p.stats.Admitted++
-	p.members[tx.ID] = tx
+	p.members[tx.ID] = struct{}{}
 	p.q.pushBack(tx)
 	return nil
 }
@@ -138,7 +128,7 @@ func (p *Pool) Requeue(txs []types.Transaction) int {
 		if _, dup := p.members[tx.ID]; dup {
 			continue
 		}
-		p.members[tx.ID] = tx
+		p.members[tx.ID] = struct{}{}
 		p.q.pushFront(tx)
 		accepted++
 	}
@@ -216,63 +206,6 @@ func (p *Pool) Contains(id types.TxID) bool {
 	defer p.mu.Unlock()
 	_, ok := p.members[id]
 	return ok
-}
-
-// Get returns the queued transaction with the given ID without
-// removing it — the point lookup behind digest-proposal resolution.
-func (p *Pool) Get(id types.TxID) (types.Transaction, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	tx, ok := p.members[id]
-	return tx, ok
-}
-
-// Resolve looks up every ID in order, returning the assembled payload
-// and the IDs that are not queued. Transactions stay in the pool:
-// the engine scrubs them only after the resolved block attaches, so a
-// proposal that fails later checks costs nothing.
-func (p *Pool) Resolve(ids []types.TxID) (payload []types.Transaction, missing []types.TxID) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	payload = make([]types.Transaction, 0, len(ids))
-	for _, id := range ids {
-		tx, ok := p.members[id]
-		if !ok {
-			missing = append(missing, id)
-			continue
-		}
-		payload = append(payload, tx)
-	}
-	return payload, missing
-}
-
-// CacheBatch remembers a fully resolved payload batch under its
-// digest. The cache is bounded; the oldest batch is evicted first.
-func (p *Pool) CacheBatch(digest types.Hash, payload []types.Transaction) {
-	if digest.IsZero() || len(payload) == 0 {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if _, ok := p.batches[digest]; ok {
-		return
-	}
-	if len(p.batchOrder) >= batchCacheLimit {
-		oldest := p.batchOrder[0]
-		p.batchOrder = p.batchOrder[1:]
-		delete(p.batches, oldest)
-	}
-	p.batches[digest] = payload
-	p.batchOrder = append(p.batchOrder, digest)
-}
-
-// BatchByDigest returns a previously cached payload batch — the
-// lookup-by-digest fast path for duplicate digest proposals.
-func (p *Pool) BatchByDigest(digest types.Hash) ([]types.Transaction, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	payload, ok := p.batches[digest]
-	return payload, ok
 }
 
 // Len returns the number of queued (live) transactions.

@@ -337,7 +337,7 @@ type ChainTracker struct {
 
 	// stages are per-stage Latency histograms (own locks; recorded
 	// off the tracker mutex — the execute stage reports from the
-	// commit-apply goroutine).
+	// apply-stage goroutine).
 	stages [numStages]Latency
 }
 

@@ -2,37 +2,16 @@ package metrics
 
 import "time"
 
-// PipelineStats digests the per-stage instrumentation of the replica
-// hot-path pipeline: how long messages wait for the verification pool,
-// how far block execution lags behind commitment, and how each stage's
-// fast paths and fallbacks are doing.
+// PipelineStats digests the replica's hot-path instrumentation beyond
+// the chain metrics: how far block execution lags behind commitment,
+// what state sync, snapshots and restart replay did, and what the
+// safety WAL charges the event loop.
 type PipelineStats struct {
-	// VerifyQueueWait is the latency distribution between a message
-	// entering the verification queue and a worker picking it up.
-	VerifyQueueWait LatencySummary
 	// ApplyLag is the latency distribution between a block
 	// committing on the event loop and its payload finishing
-	// execution on the commit-apply stage.
+	// execution on the ordered apply stage.
 	ApplyLag LatencySummary
-	// SigsVerified counts signatures checked by the pool.
-	SigsVerified uint64
-	// BatchesVerified counts batch verification calls.
-	BatchesVerified uint64
-	// BatchFallbacks counts batches that failed and fell back to
-	// per-signature verification.
-	BatchFallbacks uint64
-	// VerifyRejected counts messages dropped for bad signatures.
-	VerifyRejected uint64
-	// InlineVerifies counts messages verified on the event loop
-	// because the verification queue was full (backpressure).
-	InlineVerifies uint64
-	// DigestResolved counts digest proposals rebuilt from the local
-	// mempool (including batch-cache hits).
-	DigestResolved uint64
-	// DigestFetched counts digest proposals that missed the mempool
-	// and fell back to fetching the full block.
-	DigestFetched uint64
-	// BlocksApplied counts blocks executed by the commit-apply stage.
+	// BlocksApplied counts blocks executed by the apply stage.
 	BlocksApplied uint64
 	// SyncRequestsSent counts ranged catch-up requests this replica
 	// issued while in deep state sync.
@@ -73,13 +52,6 @@ type PipelineStats struct {
 // per-replica distributions and do not aggregate; they stay zero in
 // the receiver.
 func (p *PipelineStats) AddCounters(s PipelineStats) {
-	p.SigsVerified += s.SigsVerified
-	p.BatchesVerified += s.BatchesVerified
-	p.BatchFallbacks += s.BatchFallbacks
-	p.VerifyRejected += s.VerifyRejected
-	p.InlineVerifies += s.InlineVerifies
-	p.DigestResolved += s.DigestResolved
-	p.DigestFetched += s.DigestFetched
 	p.BlocksApplied += s.BlocksApplied
 	p.SyncRequestsSent += s.SyncRequestsSent
 	p.SyncBatchesServed += s.SyncBatchesServed
@@ -94,17 +66,8 @@ func (p *PipelineStats) AddCounters(s PipelineStats) {
 // PipelineTracker accumulates PipelineStats. The zero value is ready
 // to use; all methods are safe for concurrent use.
 type PipelineTracker struct {
-	verifyWait Latency
-	applyLag   Latency
-
-	sigs      Counter
-	batches   Counter
-	fallbacks Counter
-	rejected  Counter
-	inline    Counter
-	resolved  Counter
-	fetched   Counter
-	applied   Counter
+	applyLag Latency
+	applied  Counter
 
 	syncRequests Counter
 	syncServed   Counter
@@ -118,31 +81,6 @@ type PipelineTracker struct {
 	walSyncs Counter
 	walSync  Latency
 }
-
-// OnVerifyBatch records one verification pool batch: the queue wait of
-// its oldest message, the number of signatures checked, and whether
-// the batch fell back to per-signature verification.
-func (p *PipelineTracker) OnVerifyBatch(wait time.Duration, sigs int, fellBack bool) {
-	p.verifyWait.Record(wait)
-	p.sigs.Add(uint64(sigs))
-	p.batches.Add(1)
-	if fellBack {
-		p.fallbacks.Add(1)
-	}
-}
-
-// OnVerifyRejected records a message dropped for failing verification.
-func (p *PipelineTracker) OnVerifyRejected() { p.rejected.Add(1) }
-
-// OnInlineVerify records a message verified on the event loop because
-// the pool's queue was full.
-func (p *PipelineTracker) OnInlineVerify() { p.inline.Add(1) }
-
-// OnDigestResolved records a digest proposal rebuilt from the mempool.
-func (p *PipelineTracker) OnDigestResolved() { p.resolved.Add(1) }
-
-// OnDigestFetched records a digest proposal that fell back to a fetch.
-func (p *PipelineTracker) OnDigestFetched() { p.fetched.Add(1) }
 
 // OnBlockApplied records a block finishing execution lag behind its
 // commit.
@@ -189,25 +127,16 @@ func (p *PipelineTracker) SyncApplied() uint64 { return p.syncApplied.Load() }
 // bamboo_<key>_seconds).
 func (p *PipelineTracker) Hists() map[string]HistData {
 	return map[string]HistData{
-		"verify_queue_wait": p.verifyWait.Export(),
-		"apply_lag":         p.applyLag.Export(),
-		"wal_sync":          p.walSync.Export(),
+		"apply_lag": p.applyLag.Export(),
+		"wal_sync":  p.walSync.Export(),
 	}
 }
 
 // Snapshot digests the tracker.
 func (p *PipelineTracker) Snapshot() PipelineStats {
 	return PipelineStats{
-		VerifyQueueWait: p.verifyWait.Snapshot(),
-		ApplyLag:        p.applyLag.Snapshot(),
-		SigsVerified:    p.sigs.Load(),
-		BatchesVerified: p.batches.Load(),
-		BatchFallbacks:  p.fallbacks.Load(),
-		VerifyRejected:  p.rejected.Load(),
-		InlineVerifies:  p.inline.Load(),
-		DigestResolved:  p.resolved.Load(),
-		DigestFetched:   p.fetched.Load(),
-		BlocksApplied:   p.applied.Load(),
+		ApplyLag:      p.applyLag.Snapshot(),
+		BlocksApplied: p.applied.Load(),
 
 		SyncRequestsSent:  p.syncRequests.Load(),
 		SyncBatchesServed: p.syncServed.Load(),

@@ -4,28 +4,18 @@ package types
 // replicas. The network layer carries them as interface values; the
 // codec registers the concrete types for wire encoding.
 
-// ProposalMsg disseminates a block proposal from the view leader.
-//
-// In digest mode (Config.DigestProposals) the block travels stripped:
-// Block.Payload is empty, Block.Digest commits to the payload, and
-// PayloadIDs lists the batched transactions in order. Followers
-// rebuild the payload from their indexed mempool and fall back to a
-// FetchMsg when transactions are missing — the data plane rides the
-// client fan-out path instead of the leader's proposal.
+// ProposalMsg disseminates a block proposal from the view leader. The
+// block always travels with its full payload.
 type ProposalMsg struct {
 	Block *Block
 	// TC, if non-nil, justifies proposing after a view change: it
 	// proves a quorum abandoned the previous view.
 	TC *TC
-	// PayloadIDs, when non-empty, identifies the stripped payload's
-	// transactions in batch order (digest mode only).
+	// PayloadIDs is a reserved wire field for a digest-form proposal
+	// (payload stripped, transaction IDs listed). The engine never
+	// sends one and judges a received proposal by its Block alone, so
+	// a stripped block is rejected whatever IDs ride along.
 	PayloadIDs []TxID
-}
-
-// IsDigest reports whether the proposal travels in digest form: the
-// payload replaced by its digest plus the ordered transaction IDs.
-func (m *ProposalMsg) IsDigest() bool {
-	return m.Block != nil && len(m.Block.Payload) == 0 && len(m.PayloadIDs) > 0
 }
 
 // VoteMsg carries a vote, routed either to the next leader (HotStuff
@@ -50,11 +40,9 @@ type RequestMsg struct {
 	Tx Transaction
 }
 
-// PayloadBatchMsg replicates a batch of client transactions to peer
-// mempools — the data plane of digest mode. Replicas forward the
-// transactions they receive in batches, off the consensus critical
-// path, so any leader's digest proposal resolves from the follower's
-// own pool instead of riding the proposal.
+// PayloadBatchMsg carries a batch of client transactions between
+// replica mempools. It keeps its place in the wire registry, but the
+// engine neither sends it nor acts on one it receives.
 type PayloadBatchMsg struct {
 	Txs []Transaction
 }

@@ -122,9 +122,7 @@ func TimeoutDigest(view View) []byte {
 
 // DigestPayload hashes an ordered transaction batch: each transaction's
 // identifier and command, in batch order. It is the payload commitment
-// blocks carry, and what lets a proposal travel as a digest plus
-// transaction IDs while followers rebuild the batch from their own
-// memory pools (the data-plane/consensus-plane split).
+// blocks carry, so a block ID covers its payload through one hash.
 func DigestPayload(txs []Transaction) Hash {
 	h := sha256.New()
 	var buf [8]byte
@@ -153,8 +151,7 @@ type Block struct {
 	Payload []Transaction
 	// Digest commits to the payload (see DigestPayload). It is
 	// computed lazily from Payload for full blocks and carried
-	// explicitly on digest-only proposals, whose Payload is empty
-	// until the follower resolves it from its mempool.
+	// explicitly on payload-stripped headers (StripPayload).
 	Digest Hash
 	// Sig is the proposer's signature over the block ID.
 	Sig []byte
@@ -180,8 +177,8 @@ func (b *Block) PayloadDigest() Hash {
 // The hash covers view, proposer, parent link, the certified parent's
 // view, and the payload digest — everything that determines the
 // block's position and contents. Because the payload enters through
-// its digest, the ID of a digest-only proposal equals the ID of the
-// full block, so signatures verify before the payload is resolved.
+// its digest, a payload-stripped header has the full block's ID;
+// CarriesPayload tells the two apart.
 func (b *Block) ID() Hash {
 	b.idOnce.Do(b.computeID)
 	return b.id
@@ -211,10 +208,9 @@ func (b *Block) computeID() {
 }
 
 // StripPayload returns a copy of the block carrying the payload digest
-// instead of the payload itself — the wire form of a digest-only
-// proposal. The copy shares the (immutable) QC and signature and has
-// its ID pre-computed, so concurrent receivers never mutate the
-// original block.
+// instead of the payload itself — the header a state snapshot anchors
+// to. The copy shares the (immutable) QC and signature and has its ID
+// pre-computed, so concurrent readers never mutate the original block.
 func (b *Block) StripPayload() *Block {
 	cp := &Block{
 		View:     b.View,
@@ -228,22 +224,17 @@ func (b *Block) StripPayload() *Block {
 	return cp
 }
 
-// WithPayload returns a copy of the block with the resolved payload
-// attached. It is the inverse of StripPayload on the follower side;
-// the caller must have checked that DigestPayload(payload) matches
-// the block's digest.
-func (b *Block) WithPayload(payload []Transaction) *Block {
-	cp := &Block{
-		View:     b.View,
-		Proposer: b.Proposer,
-		Parent:   b.Parent,
-		QC:       b.QC,
-		Payload:  payload,
-		Digest:   b.PayloadDigest(),
-		Sig:      b.Sig,
+// CarriesPayload reports whether the block carries exactly the payload
+// its digest — and so its signed ID — commits to: a non-empty payload
+// must hash to the digest, and an empty payload must come with the
+// zero digest. A payload-stripped header fails it, as does a header
+// with a substituted payload; a replica must never attach, execute or
+// serve either under the full block's ID.
+func (b *Block) CarriesPayload() bool {
+	if len(b.Payload) == 0 {
+		return b.PayloadDigest().IsZero()
 	}
-	cp.idOnce.Do(func() { cp.id = b.ID() })
-	return cp
+	return DigestPayload(b.Payload) == b.PayloadDigest()
 }
 
 // Size returns the approximate wire size of the block in bytes,
