@@ -20,7 +20,6 @@
 package client
 
 import (
-	"math"
 	"math/rand"
 	"sync"
 	"time"
@@ -406,14 +405,9 @@ func (c *Client) RunClosedLoop(concurrency int, perOpTimeout time.Duration) {
 
 // RunOpenLoop fires transactions as a Poisson process with the given
 // rate (transactions/second) until Stop, without waiting for replies —
-// the arrival model of the Section V analysis. Arrivals are generated
-// in 2 ms batches with Poisson-distributed counts (statistically
-// equivalent, and feasible at 100k+ tx/s on small hosts). A sample of
-// transactions (about 2000/s) is tracked for client-side latency,
-// stamped at the *intended* arrival time (spread across the batch
-// window), not the actual send: a pacer running late therefore shows
-// the lag as latency instead of silently omitting it — the classic
-// coordinated-omission correction.
+// paced by workload.Pace. A sample of transactions (about 2000/s) is
+// tracked for client-side latency, stamped at the *intended* arrival
+// time, not the actual send — the coordinated-omission correction.
 func (c *Client) RunOpenLoop(rate float64) {
 	if rate <= 0 {
 		return
@@ -421,76 +415,33 @@ func (c *Client) RunOpenLoop(rate float64) {
 	c.mu.Lock()
 	c.openLoop = true
 	c.mu.Unlock()
-	const tick = 2 * time.Millisecond
 	sampleEvery := uint64(rate / 2000)
 	if sampleEvery < 1 {
 		sampleEvery = 1
 	}
+	draw := func(mean float64) int {
+		c.rngMu.Lock()
+		defer c.rngMu.Unlock()
+		return workload.Poisson(c.rng, mean)
+	}
 	c.wg.Add(1)
 	go func() {
 		defer c.wg.Done()
-		ticker := time.NewTicker(tick)
-		defer ticker.Stop()
-		last := time.Now()
-		for {
-			select {
-			case <-c.stopCh:
-				return
-			case <-ticker.C:
-			}
-			// Scale the batch to the *actual* elapsed time: under
-			// CPU contention the ticker coalesces missed ticks, and
-			// a fixed per-tick mean would silently shed offered load.
-			now := time.Now()
-			window := now.Sub(last)
-			mean := rate * window.Seconds()
-			n := c.poisson(mean)
-			for i := 0; i < n; i++ {
-				tx := c.nextTx(time.Now())
-				if tx.ID.Seq%sampleEvery == 0 {
-					// Conditioned on n arrivals, Poisson arrival
-					// times are uniform order statistics over the
-					// window — the i-th lands mid-slot.
-					intended := last.Add(time.Duration(
-						(float64(i) + 0.5) / float64(n) * float64(window)))
-					c.mu.Lock()
-					if len(c.pendingOpen) > 1<<16 {
-						// Shed stale samples (replies lost to a
-						// stalled protocol) instead of leaking.
-						c.pendingOpen = make(map[types.TxID]time.Time)
-					}
-					c.pendingOpen[tx.ID] = intended
-					c.mu.Unlock()
+		workload.Pace(c.stopCh, rate, draw, func(intended time.Time) {
+			tx := c.nextTx(time.Now())
+			if tx.ID.Seq%sampleEvery == 0 {
+				c.mu.Lock()
+				if len(c.pendingOpen) > 1<<16 {
+					// Shed stale samples (replies lost to a stalled
+					// protocol) instead of leaking.
+					c.pendingOpen = make(map[types.TxID]time.Time)
 				}
-				c.ep.Send(c.pickReplica(), types.RequestMsg{Tx: tx})
+				c.pendingOpen[tx.ID] = intended
+				c.mu.Unlock()
 			}
-			last = now
-		}
+			c.ep.Send(c.pickReplica(), types.RequestMsg{Tx: tx})
+		})
 	}()
-}
-
-// poisson samples a Poisson-distributed count with the given mean:
-// Knuth's method for small means, a normal approximation for large.
-func (c *Client) poisson(mean float64) int {
-	c.rngMu.Lock()
-	defer c.rngMu.Unlock()
-	if mean <= 0 {
-		return 0
-	}
-	if mean < 30 {
-		l := math.Exp(-mean)
-		k, p := 0, 1.0
-		for p > l {
-			k++
-			p *= c.rng.Float64()
-		}
-		return k - 1
-	}
-	n := int(c.rng.NormFloat64()*math.Sqrt(mean) + mean + 0.5)
-	if n < 0 {
-		return 0
-	}
-	return n
 }
 
 // Stop terminates workers, the reply loop and the sweeper. Every

@@ -198,25 +198,6 @@ func TestFanoutReachesAllReplicas(t *testing.T) {
 	}
 }
 
-func TestPoissonMean(t *testing.T) {
-	sw := network.NewSwitch(nil)
-	c := newClient(t, sw, 1)
-	for _, mean := range []float64{0.5, 5, 50, 200} {
-		const draws = 3000
-		var sum float64
-		for i := 0; i < draws; i++ {
-			sum += float64(c.poisson(mean))
-		}
-		got := sum / draws
-		if got < 0.85*mean || got > 1.15*mean {
-			t.Fatalf("poisson(%v) sample mean = %v", mean, got)
-		}
-	}
-	if c.poisson(0) != 0 || c.poisson(-1) != 0 {
-		t.Fatal("non-positive mean must yield zero")
-	}
-}
-
 func TestStopIsIdempotent(t *testing.T) {
 	sw := network.NewSwitch(nil)
 	c := newClient(t, sw, 1)

@@ -477,35 +477,55 @@ func (c *Cluster) Violations() uint64 {
 // paper's cross-node consistency check on the main chain.
 func (c *Cluster) ConsistencyCheck() error {
 	honest := c.HonestNodes()
-	if len(honest) < 2 {
-		return nil
+	ids := make([]types.NodeID, len(honest))
+	heights := make([]uint64, len(honest))
+	for i, n := range honest {
+		ids[i], heights[i] = n.ID(), n.Status().CommittedHeight
 	}
-	min := honest[0].Status().CommittedHeight
-	for _, n := range honest[1:] {
-		if h := n.Status().CommittedHeight; h < min {
+	return CheckAgreement(ids, heights, func(id types.NodeID, h uint64) (types.Hash, bool) {
+		return c.nodes[id].HashAt(h)
+	})
+}
+
+// CheckAgreement is the pairwise agreement check behind
+// ConsistencyCheck, over any deployment that can report each replica's
+// committed height (heights[i] belongs to ids[i]) and its committed
+// block hash at a height. The common height is the lowest non-zero
+// one — a replica that has committed nothing has nothing to disagree
+// about. Hashes are compared there, at half of it, and at 1, not just
+// at the tip, to catch divergence that later commits could mask; a
+// replica for which hashAt reports nothing at a height (compacted
+// under a snapshot, or unreachable) sits that height out.
+func CheckAgreement[H comparable](ids []types.NodeID, heights []uint64,
+	hashAt func(types.NodeID, uint64) (H, bool)) error {
+
+	min := uint64(0)
+	for _, h := range heights {
+		if h > 0 && (min == 0 || h < min) {
 			min = h
 		}
 	}
 	if min == 0 {
 		return nil
 	}
-	// Compare at several heights, not just the tip, to catch
-	// divergence that later commits could mask.
 	for _, h := range []uint64{min, min / 2, 1} {
-		var want types.Hash
+		if h == 0 {
+			continue
+		}
+		var want H
 		var wantFrom types.NodeID
-		for _, n := range honest {
-			got, ok := n.HashAt(h)
+		for _, id := range ids {
+			got, ok := hashAt(id, h)
 			if !ok {
-				continue // compacted beyond window on this replica
+				continue
 			}
-			if want.IsZero() {
-				want, wantFrom = got, n.ID()
+			if wantFrom == 0 {
+				want, wantFrom = got, id
 				continue
 			}
 			if got != want {
-				return fmt.Errorf("cluster: replicas %s and %s disagree at height %d: %s vs %s",
-					wantFrom, n.ID(), h, want, got)
+				return fmt.Errorf("cluster: replicas %s and %s disagree at height %d: %v vs %v",
+					wantFrom, id, h, want, got)
 			}
 		}
 	}
@@ -532,24 +552,6 @@ func (c *Cluster) WaitForHeight(target uint64, timeout time.Duration) error {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-}
-
-// PipelineStats reports the observer replica's per-stage pipeline
-// instrumentation (verify-queue wait, apply lag, digest fast-path
-// counters) — the replica-side view of where hot-path time goes.
-func (c *Cluster) PipelineStats() metrics.PipelineStats {
-	return c.nodes[c.Observer()].Pipeline().Snapshot()
-}
-
-// AggregatePipeline sums the apply, WAL, sync and snapshot counters
-// over the honest replicas (latency summaries are per-replica; the observer's are in
-// PipelineStats).
-func (c *Cluster) AggregatePipeline() metrics.PipelineStats {
-	var agg metrics.PipelineStats
-	for _, n := range c.HonestNodes() {
-		agg.AddCounters(n.Pipeline().Snapshot())
-	}
-	return agg
 }
 
 // AggregateChain averages the chain micro-metrics (CGR, BI) over the

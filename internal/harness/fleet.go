@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math"
 	"math/rand"
 	"net/http"
 	"sync"
@@ -12,339 +11,145 @@ import (
 
 	"github.com/bamboo-bft/bamboo/internal/config"
 	"github.com/bamboo-bft/bamboo/internal/fleet"
+	"github.com/bamboo-bft/bamboo/internal/httpapi"
 	"github.com/bamboo-bft/bamboo/internal/metrics"
 	"github.com/bamboo-bft/bamboo/internal/network"
 	"github.com/bamboo-bft/bamboo/internal/types"
+	"github.com/bamboo-bft/bamboo/internal/workload"
 )
 
-// runFleetStep executes one load level against a fresh fleet of real
-// bamboo-server processes — the same declared scenario as the
-// in-process backends, with the process boundary made real: load goes
-// in through each replica's HTTP API, faults cross as SIGKILL /
-// re-exec / admin-endpoint pushes, and the Result is merged from every
-// server's node-local slice.
+// fleetDeployment is the multi-process deployment: a fleet of real
+// bamboo-server processes with the process boundary made real — load
+// goes in through each replica's HTTP API, faults cross as SIGKILL /
+// re-exec / admin-endpoint pushes, and every record comes from a
+// server's /admin/result.
 //
 // Both load shapes run over HTTP: closed loop keeps one in-flight
 // POST /tx per worker, open loop paces Poisson arrivals per client and
 // carries them through a bounded submitter pool (arrivals past the
 // pool's capacity are shed and counted — see Point.Shed). The
-// load-shaping extras that require in-process hooks (fanout
-// transaction mirroring, commit-series buckets, hashed election) are
-// rejected loudly rather than silently degraded.
-func runFleetStep(exp Experiment, concurrency int, rate float64, res *Result) (Point, error) {
-	var p Point
-	cfg := exp.Config
-	switch {
-	case exp.Measure.Fanout:
-		return p, fmt.Errorf("harness: fleet backend cannot fan out transactions (each server mints its own IDs)")
-	case exp.Measure.Bucket > 0:
-		return p, fmt.Errorf("harness: fleet backend has no commit-series hook")
-	case exp.Election == ElectionHashed:
-		return p, fmt.Errorf("harness: fleet backend runs the server's configured election only")
-	}
-	specs := fleetSpecs(exp)
-	var fclients []*fleetClient
-	idx := 0
-	for _, cs := range specs {
-		count := cs.Count
-		if count <= 0 {
-			count = 1
-		}
-		wl := exp.Workload
-		if cs.Workload != nil {
-			wl = *cs.Workload
-		}
-		for i := 0; i < count; i++ {
-			gen, err := wl.New(cfg.PayloadSize, cfg.Seed+int64(idx))
-			if err != nil {
-				return p, err
-			}
-			fclients = append(fclients, &fleetClient{gen: gen, lat: &metrics.Latency{}})
-			idx++
-		}
-	}
+// load-shaping extras that require in-process hooks are rejected by
+// Experiment.Validate.
+//
+// The deployment is its own fault target: Crash snapshots the victim's
+// committed and on-disk ledger heights over HTTP in the instant before
+// the SIGKILL lands. The two heights are the anchors of the exact-height
+// recovery verdict — the ledger height is monotone while the process
+// lives, so whatever is recorded here lower-bounds what the next
+// incarnation's bootstrap replay must re-commit. The schedule runs in a
+// single goroutine that runStep joins before finish reads the anchors,
+// so they need no locking.
+type fleetDeployment struct {
+	f       *fleet.Fleet
+	cfg     config.Config
+	clients []*fleetClient
+	load    *fleetLoad
+	// preKill and preKillLedger hold the Crash anchors per replica.
+	preKill       map[types.NodeID]uint64
+	preKillLedger map[types.NodeID]uint64
+}
 
-	f, err := fleet.New(cfg, fleet.Options{
+func deployFleet(exp Experiment) (deployment, time.Time, error) {
+	f, err := fleet.New(exp.Config, fleet.Options{
 		Dir:           exp.LedgerDir,
 		DisableLedger: exp.DisableLedger,
 	})
 	if err != nil {
-		return p, err
+		return nil, time.Time{}, err
 	}
-	stopped := false
-	defer func() {
-		if !stopped {
-			_ = f.Stop()
-		}
-	}()
-
 	// The epoch — the zero point of fault offsets — is "every replica
 	// ready". The in-process backends anchor just before assembly;
 	// assembly there is microseconds, while spawning real processes is
 	// not, so anchoring after readiness is what keeps a scenario's
 	// offsets meaning the same thing on every backend.
-	epoch := time.Now()
-	stop := make(chan struct{})
-	faultsDone := make(chan struct{})
-	kills := &preKillRecorder{f: f}
-	if len(exp.Faults) > 0 {
-		go func() {
-			defer close(faultsDone)
-			exp.Faults.run(kills, epoch, stop, nil)
-		}()
-	} else {
-		close(faultsDone)
-	}
-
-	perOp := exp.Measure.PerOpTimeout
-	if perOp <= 0 {
-		perOp = 5 * time.Second
-	}
-	workersPer := 1
-	if rate > 0 {
-		p.Offered = rate
-	} else {
-		if len(exp.Measure.Clients) > 0 {
-			// A declared fleet fixes closed-loop concurrency: one
-			// in-flight request per client.
-			concurrency = len(fclients)
-		} else {
-			workersPer = concurrency
-		}
-		p.Offered = float64(concurrency)
-	}
-	load := startFleetLoad(f, fclients, cfg.N, workersPer, rate, perOp, cfg.Seed)
-
-	if exp.Measure.Warmup > 0 {
-		time.Sleep(exp.Measure.Warmup)
-	}
-	startCommitted := make([]uint64, len(fclients))
-	var startRejected, startRetries uint64
-	for i, fc := range fclients {
-		fc.lat.Reset()
-		startCommitted[i] = fc.committed.Load()
-		startRejected += fc.rejected.Load()
-		startRetries += fc.retries.Load()
-	}
-	startShed := load.shed.Load()
-	startPoolRej := fleetPoolRejections(f, cfg.N)
-	observer := types.NodeID(cfg.N)
-	startRes, err := f.ReplicaResult(observer)
-	if err != nil {
-		return p, err
-	}
-	window := exp.Measure.Window
-	if window <= 0 {
-		window = cfg.Runtime
-	}
-	begin := time.Now()
-	time.Sleep(window)
-	elapsed := time.Since(begin)
-	endRes, err := f.ReplicaResult(observer)
-	if err != nil {
-		return p, err
-	}
-	merged := &metrics.Latency{}
-	var endRejected, endRetries uint64
-	minTps, maxTps := math.Inf(1), 0.0
-	for i, fc := range fclients {
-		merged.Merge(fc.lat)
-		endRejected += fc.rejected.Load()
-		endRetries += fc.retries.Load()
-		tps := float64(fc.committed.Load()-startCommitted[i]) / elapsed.Seconds()
-		if tps < minTps {
-			minTps = tps
-		}
-		if tps > maxTps {
-			maxTps = tps
-		}
-	}
-	p.Shed = load.shed.Load() - startShed
-	p.PoolRejections = fleetPoolRejections(f, cfg.N) - startPoolRej
-
-	close(stop)
-	<-faultsDone
-	load.stop()
-
-	p.Throughput = float64(endRes.Chain.TxCommitted-startRes.Chain.TxCommitted) / elapsed.Seconds()
-	p.Blocks = endRes.Chain.BlocksCommitted - startRes.Chain.BlocksCommitted
-	lat := merged.Snapshot()
-	p.Mean, p.P50, p.P95, p.P99, p.P999 = lat.Mean, lat.P50, lat.P95, lat.P99, lat.P999
-	p.Clients = len(fclients)
-	p.ClientMinTps, p.ClientMaxTps = minTps, maxTps
-	if minTps > 0 {
-		p.ClientDispersion = maxTps / minTps
-	}
-	p.Rejected = endRejected - startRejected
-	p.Retries = endRetries - startRetries
-	// Observer-endpoint traffic over the window (deployment-wide sums
-	// land in Result.Network below).
-	p.NetMsgs = endRes.Transport.Msgs - startRes.Transport.Msgs
-	p.NetBytes = endRes.Transport.Bytes - startRes.Transport.Bytes
-
-	// Merge every server's node-local slice into the deployment-wide
-	// result: counters summed, ratio metrics averaged over honest
-	// replicas, heights into the shared recovery verdict. A replica
-	// that is down at the end contributes a zero slice — its height 0
-	// fails the recovery verdict, which is the correct reading of "the
-	// scenario ended with a replica dead". Transport sums count each
-	// replica's CURRENT incarnation; traffic of pre-restart
-	// incarnations died with their processes.
-	var chain metrics.ChainStats
-	var pipeline metrics.PipelineStats
-	var net NetworkStats
-	heights := make([]uint64, cfg.N)
-	snapHeights := make([]uint64, cfg.N)
-	reached := make([]bool, cfg.N)
-	var violations uint64
-	honest := 0
-	for i := 1; i <= cfg.N; i++ {
-		id := types.NodeID(i)
-		rr, err := f.ReplicaResult(id)
-		if err != nil {
-			continue
-		}
-		reached[i-1] = true
-		heights[i-1] = rr.CommittedHeight
-		snapHeights[i-1] = rr.SnapshotHeight
-		violations += rr.Violations
-		net.Msgs += rr.Transport.Msgs
-		net.Bytes += rr.Transport.Bytes
-		net.Dropped += rr.Transport.Dropped
-		net.Dials += rr.Transport.Dials
-		net.Redials += rr.Transport.Redials
-		net.Accepted += rr.Transport.Accepted
-		if !cfg.IsByzantine(id) {
-			chain.Accumulate(rr.Chain)
-			pipeline.AddCounters(rr.Pipeline)
-			honest++
-		}
-	}
-	chain.AverageRatios(honest)
-	p.CGR, p.BI = chain.CGR, chain.BI
-	p.Pipeline = pipeline
-
-	res.Chain = chain
-	res.fillChainQuality(chain)
-	res.Pipeline = pipeline
-	res.Network = net
-	res.Heights = heights
-	res.Recovered = recoveredFromHeights(heights, cfg)
-	if cfg.SnapshotInterval > 0 {
-		res.SnapshotHeights = snapHeights
-	}
-	res.Violations += violations
-	pids := f.Pids()
-	res.Pids = make([]int, cfg.N)
-	for i := 1; i <= cfg.N; i++ {
-		res.Pids[i-1] = pids[types.NodeID(i)]
-	}
-	// The fault goroutine has joined (<-faultsDone above), so the
-	// recorder's maps are quiescent here.
-	if len(kills.committed) > 0 {
-		res.PreKillHeights = make([]uint64, cfg.N)
-		res.PreKillLedgerHeights = make([]uint64, cfg.N)
-		for id, h := range kills.committed {
-			res.PreKillHeights[id-1] = h
-		}
-		for id, h := range kills.ledger {
-			res.PreKillLedgerHeights[id-1] = h
-		}
-	}
-
-	if err := fleetConsistencyCheck(f, cfg, heights, reached); err != nil {
-		return p, err
-	}
-	stopped = true
-	if err := f.Stop(); err != nil {
-		return p, fmt.Errorf("harness: fleet teardown: %w", err)
-	}
-	if res.Violations != 0 {
-		return p, fmt.Errorf("harness: %d safety violations", res.Violations)
-	}
-	return p, nil
+	return &fleetDeployment{f: f, cfg: exp.Config}, time.Now(), nil
 }
 
-// preKillRecorder is the fault target the fleet step really runs the
-// schedule against: it interposes on Crash to snapshot the victim's
-// committed and on-disk ledger heights over HTTP in the instant before
-// the SIGKILL lands, and passes everything else straight through. The
-// two heights are the anchors of the exact-height recovery verdict —
-// the ledger height is monotone while the process lives, so whatever
-// is recorded here lower-bounds what the next incarnation's bootstrap
-// replay must re-commit. The schedule runs in a single goroutine, so
-// the maps need no locking; readers wait for that goroutine to join.
-type preKillRecorder struct {
-	f         *fleet.Fleet
-	committed map[types.NodeID]uint64
-	ledger    map[types.NodeID]uint64
+func (d *fleetDeployment) ApplyConditions(spec network.ConditionsSpec) {
+	d.f.ApplyConditions(spec)
 }
 
-func (r *preKillRecorder) ApplyConditions(spec network.ConditionsSpec) {
-	r.f.ApplyConditions(spec)
-}
+func (d *fleetDeployment) Restart(id types.NodeID) { d.f.Restart(id) }
 
-func (r *preKillRecorder) Restart(id types.NodeID) { r.f.Restart(id) }
-
-func (r *preKillRecorder) Crash(id types.NodeID) {
-	if rr, err := r.f.ReplicaResult(id); err == nil {
-		if r.committed == nil {
-			r.committed = make(map[types.NodeID]uint64)
-			r.ledger = make(map[types.NodeID]uint64)
+func (d *fleetDeployment) Crash(id types.NodeID) {
+	if rr, err := d.f.ReplicaResult(id); err == nil {
+		if d.preKill == nil {
+			d.preKill = make(map[types.NodeID]uint64)
+			d.preKillLedger = make(map[types.NodeID]uint64)
 		}
 		// A replica killed twice keeps its highest anchors: recovery
 		// must reach the furthest point any incarnation got to.
-		if rr.CommittedHeight > r.committed[id] {
-			r.committed[id] = rr.CommittedHeight
-		}
-		if rr.LedgerHeight > r.ledger[id] {
-			r.ledger[id] = rr.LedgerHeight
-		}
+		d.preKill[id] = max(d.preKill[id], rr.CommittedHeight)
+		d.preKillLedger[id] = max(d.preKillLedger[id], rr.LedgerHeight)
 	}
-	r.f.Crash(id)
+	d.f.Crash(id)
 }
 
-// fleetConsistencyCheck is the cluster's cross-replica consistency
-// check carried over HTTP: every pair of reachable honest replicas
-// must agree on the committed block hash at their common height,
-// probed at several depths so later commits cannot mask divergence.
-func fleetConsistencyCheck(f *fleet.Fleet, cfg config.Config, heights []uint64, reached []bool) error {
-	min := uint64(0)
-	for i, h := range heights {
-		if !reached[i] || cfg.IsByzantine(types.NodeID(i+1)) {
-			continue
+func (d *fleetDeployment) attach(gen workload.Generator) (loadClient, error) {
+	fc := &fleetClient{gen: gen, lat: &metrics.Latency{}}
+	d.clients = append(d.clients, fc)
+	return fc, nil
+}
+
+func (d *fleetDeployment) startLoad(rate float64, workers int, perOp time.Duration) {
+	d.load = startFleetLoad(d.f, d.clients, d.cfg.N, workers, rate, perOp, d.cfg.Seed)
+}
+
+func (d *fleetDeployment) stopLoad() {
+	if d.load != nil {
+		d.load.stop()
+	}
+}
+
+func (d *fleetDeployment) shed() uint64 { return d.load.shed.Load() }
+
+func (d *fleetDeployment) replica(id types.NodeID) (httpapi.ReplicaResult, error) {
+	return d.f.ReplicaResult(id)
+}
+
+// traffic is the observer endpoint's own: the fleet has no
+// deployment-wide counter to window.
+func (d *fleetDeployment) traffic(observer httpapi.ReplicaResult) (msgs, bytes uint64) {
+	return observer.Transport.Msgs, observer.Transport.Bytes
+}
+
+// totals sums every replica's CURRENT incarnation; traffic of
+// pre-restart incarnations died with their processes.
+func (d *fleetDeployment) totals(final []httpapi.ReplicaResult) NetworkStats {
+	var net NetworkStats
+	for _, rr := range final {
+		net.Add(rr.Transport)
+	}
+	return net
+}
+
+func (d *fleetDeployment) hashAt(id types.NodeID, height uint64) (string, bool) {
+	h, ok, err := d.f.HashAt(id, height)
+	return h, ok && err == nil
+}
+
+func (d *fleetDeployment) finish(res *Result) {
+	n := d.cfg.N
+	pids := d.f.Pids()
+	res.Pids = make([]int, n)
+	for i := 1; i <= n; i++ {
+		res.Pids[i-1] = pids[types.NodeID(i)]
+	}
+	if len(d.preKill) > 0 {
+		res.PreKillHeights = make([]uint64, n)
+		res.PreKillLedgerHeights = make([]uint64, n)
+		for id, h := range d.preKill {
+			res.PreKillHeights[id-1] = h
 		}
-		if min == 0 || h < min {
-			min = h
+		for id, h := range d.preKillLedger {
+			res.PreKillLedgerHeights[id-1] = h
 		}
 	}
-	if min == 0 {
-		return nil
-	}
-	for _, h := range []uint64{min, min / 2, 1} {
-		if h == 0 {
-			continue
-		}
-		var want string
-		var wantFrom types.NodeID
-		for i := 0; i < cfg.N; i++ {
-			id := types.NodeID(i + 1)
-			if !reached[i] || cfg.IsByzantine(id) {
-				continue
-			}
-			got, ok, err := f.HashAt(id, h)
-			if err != nil || !ok {
-				continue // down, or compacted beyond window on this replica
-			}
-			if want == "" {
-				want, wantFrom = got, id
-				continue
-			}
-			if got != want {
-				return fmt.Errorf("harness: replicas %s and %s disagree at height %d: %s vs %s",
-					wantFrom, id, h, want, got)
-			}
-		}
+}
+
+func (d *fleetDeployment) stop() error {
+	if err := d.f.Stop(); err != nil {
+		return fmt.Errorf("harness: fleet teardown: %w", err)
 	}
 	return nil
 }
@@ -365,12 +170,17 @@ const (
 // into a Point (latency histogram, commits for fairness, rejections
 // and retries for admission control).
 type fleetClient struct {
-	gen       interface{ Next() []byte }
+	gen       workload.Generator
 	lat       *metrics.Latency
 	committed metrics.Counter
 	rejected  metrics.Counter
 	retries   metrics.Counter
 }
+
+func (fc *fleetClient) Latency() *metrics.Latency { return fc.lat }
+func (fc *fleetClient) Committed() uint64         { return fc.committed.Load() }
+func (fc *fleetClient) Rejected() uint64          { return fc.rejected.Load() }
+func (fc *fleetClient) Retries() uint64           { return fc.retries.Load() }
 
 // fleetJob is one paced open-loop arrival awaiting an HTTP submitter.
 // The intended timestamp — assigned by the pacer, before any queueing —
@@ -385,35 +195,45 @@ type fleetJob struct {
 
 // fleetLoad is the load generator of the fleet backend: the in-process
 // client's loops rebuilt over HTTP. Closed loop runs workers that keep
-// one request in flight each; open loop runs one Poisson pacer per
+// one request in flight each; open loop runs one workload.Pace pacer per
 // client feeding the bounded submitter pool. Submissions to a crashed
 // replica fail fast and count for nothing — the same transactions a
 // real client would lose.
 type fleetLoad struct {
-	clients []*fleetClient
-	shed    metrics.Counter
-	jobs    chan fleetJob
-	stopCh  chan struct{}
-	wg      sync.WaitGroup
+	shed   metrics.Counter
+	jobs   chan fleetJob
+	stopCh chan struct{}
+	wg     sync.WaitGroup
 }
 
 // startFleetLoad starts the load against the fleet. rate > 0 selects
-// the open loop, split evenly across clients; otherwise each client
-// runs workersPer closed-loop workers.
+// the open loop at rate arrivals/second per client; otherwise each
+// client runs workersPer closed-loop workers.
 func startFleetLoad(f *fleet.Fleet, clients []*fleetClient,
 	n, workersPer int, rate float64, perOp time.Duration, seed int64) *fleetLoad {
 
-	l := &fleetLoad{
-		clients: clients,
-		stopCh:  make(chan struct{}),
-	}
+	l := &fleetLoad{stopCh: make(chan struct{})}
 	httpc := &http.Client{Timeout: perOp}
 	if rate > 0 {
 		l.jobs = make(chan fleetJob, fleetBacklogSize)
-		per := rate / float64(len(clients))
 		for i, fc := range clients {
+			rng := rand.New(rand.NewSource(seed + int64(i)))
+			draw := func(mean float64) int { return workload.Poisson(rng, mean) }
 			l.wg.Add(1)
-			go l.pace(fc, rand.New(rand.NewSource(seed+int64(i))), n, per)
+			go func() {
+				defer l.wg.Done()
+				// Each arrival is handed to the submitter pool, or shed
+				// (counted) when the backlog is full.
+				workload.Pace(l.stopCh, rate, draw, func(intended time.Time) {
+					job := fleetJob{cl: fc, intended: intended, command: fc.gen.Next(),
+						target: types.NodeID(rng.Intn(n) + 1)}
+					select {
+					case l.jobs <- job:
+					default:
+						l.shed.Add(1)
+					}
+				})
+			}()
 		}
 		for s := 0; s < fleetSubmitters; s++ {
 			l.wg.Add(1)
@@ -464,43 +284,6 @@ func (l *fleetLoad) closedWorker(f *fleet.Fleet, httpc *http.Client,
 	}
 }
 
-// pace generates this client's share of the Poisson arrival process in
-// 2 ms batches, stamping each arrival with its intended time and
-// handing it to the submitter pool (or shedding it, counted, when the
-// backlog is full).
-func (l *fleetLoad) pace(fc *fleetClient, rng *rand.Rand, n int, rate float64) {
-	defer l.wg.Done()
-	const tick = 2 * time.Millisecond
-	ticker := time.NewTicker(tick)
-	defer ticker.Stop()
-	last := time.Now()
-	for {
-		select {
-		case <-l.stopCh:
-			return
-		case <-ticker.C:
-		}
-		now := time.Now()
-		window := now.Sub(last)
-		arrivals := poissonRand(rng, rate*window.Seconds())
-		for i := 0; i < arrivals; i++ {
-			job := fleetJob{
-				cl: fc,
-				intended: last.Add(time.Duration(
-					(float64(i) + 0.5) / float64(arrivals) * float64(window))),
-				command: fc.gen.Next(),
-				target:  types.NodeID(rng.Intn(n) + 1),
-			}
-			select {
-			case l.jobs <- job:
-			default:
-				l.shed.Add(1)
-			}
-		}
-		last = now
-	}
-}
-
 // submitLoop drains paced arrivals, one in-flight POST /tx at a time.
 func (l *fleetLoad) submitLoop(f *fleet.Fleet, httpc *http.Client) {
 	defer l.wg.Done()
@@ -541,41 +324,6 @@ func postTx(f *fleet.Fleet, httpc *http.Client, target types.NodeID, command []b
 	_ = json.NewDecoder(resp.Body).Decode(&out)
 	_ = resp.Body.Close()
 	return out.Committed, out.Rejected || resp.StatusCode == http.StatusTooManyRequests
-}
-
-// poissonRand samples a Poisson-distributed count with the given mean:
-// Knuth's method for small means, a normal approximation for large.
-func poissonRand(rng *rand.Rand, mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	if mean < 30 {
-		l := math.Exp(-mean)
-		k, p := 0, 1.0
-		for p > l {
-			k++
-			p *= rng.Float64()
-		}
-		return k - 1
-	}
-	n := int(rng.NormFloat64()*math.Sqrt(mean) + mean + 0.5)
-	if n < 0 {
-		return 0
-	}
-	return n
-}
-
-// fleetPoolRejections sums the reachable replicas' lifetime mempool
-// rejection counters over the admin endpoint; callers difference two
-// readings to window a delta.
-func fleetPoolRejections(f *fleet.Fleet, n int) uint64 {
-	var total uint64
-	for i := 1; i <= n; i++ {
-		if rr, err := f.ReplicaResult(types.NodeID(i)); err == nil {
-			total += rr.PoolRejected
-		}
-	}
-	return total
 }
 
 func (l *fleetLoad) stop() {

@@ -10,13 +10,14 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync"
 	"time"
 
-	"github.com/bamboo-bft/bamboo/internal/client"
 	"github.com/bamboo-bft/bamboo/internal/cluster"
 	"github.com/bamboo-bft/bamboo/internal/config"
-	"github.com/bamboo-bft/bamboo/internal/election"
+	"github.com/bamboo-bft/bamboo/internal/httpapi"
 	"github.com/bamboo-bft/bamboo/internal/metrics"
+	"github.com/bamboo-bft/bamboo/internal/network"
 	"github.com/bamboo-bft/bamboo/internal/types"
 	"github.com/bamboo-bft/bamboo/internal/workload"
 )
@@ -54,8 +55,9 @@ type Experiment struct {
 	// no-op at Config.PayloadSize).
 	Workload workload.Spec `json:"workload"`
 	// Faults is the timed fault schedule, with offsets measured from
-	// the experiment epoch (just before cluster assembly — the same
-	// anchor as the committed-rate buckets).
+	// the experiment epoch: just before cluster assembly in-process
+	// (the same anchor as the committed-rate buckets), once every
+	// replica is ready on the fleet.
 	Faults FaultSchedule `json:"faults,omitempty"`
 	// Measure is the measurement plan.
 	Measure MeasurePlan `json:"measure"`
@@ -190,8 +192,9 @@ type Point struct {
 	BI  float64 `json:"bi"`
 	// Blocks is the observer's committed block count over the window.
 	Blocks uint64 `json:"blocks"`
-	// NetMsgs and NetBytes are switch-wide message totals over the
-	// window.
+	// NetMsgs and NetBytes are the window's message totals: switch-wide
+	// on the switch backend, summed over every endpoint (replicas and
+	// clients) on TCP, and the observer replica's endpoint on the fleet.
 	NetMsgs  uint64 `json:"netMsgs"`
 	NetBytes uint64 `json:"netBytes"`
 	// Pipeline sums the apply, WAL, sync and snapshot counters over
@@ -201,19 +204,10 @@ type Point struct {
 
 // NetworkStats are the deployment-wide message counters of a whole
 // run: switch counters on the switch backend, per-endpoint transport
-// sums on TCP. The connection-churn fields are TCP-only (zero, and
-// omitted from JSON, in simulation).
-type NetworkStats struct {
-	Msgs    uint64 `json:"msgs"`
-	Bytes   uint64 `json:"bytes"`
-	Dropped uint64 `json:"dropped"`
-	// Dials counts outbound connections; Redials the subset replacing
-	// an earlier connection to the same peer (reconnects after
-	// crash-driven resets); Accepted the inbound connections.
-	Dials    uint64 `json:"dials,omitempty"`
-	Redials  uint64 `json:"redials,omitempty"`
-	Accepted uint64 `json:"accepted,omitempty"`
-}
+// sums on TCP, and the sum over every replica's current process on the
+// fleet. The connection-churn fields (dials, redials, accepts) are zero,
+// and omitted from JSON, on the switch.
+type NetworkStats = network.TransportStats
 
 // Result is the structured outcome of one experiment. It marshals to
 // JSON losslessly (durations are nanosecond integers), so results can
@@ -221,9 +215,9 @@ type NetworkStats struct {
 type Result struct {
 	// Name echoes the experiment label.
 	Name string `json:"name,omitempty"`
-	// Backend records the transport the run deployed over ("switch"
-	// or "tcp"), so result files from the two paths stay
-	// distinguishable when compared.
+	// Backend records the deployment the run used (one of Backends():
+	// "switch", "tcp" or "fleet"), so result files from different
+	// backends stay distinguishable when compared.
 	Backend string `json:"backend,omitempty"`
 	// Config, Workload, Faults, and Measure echo the declared
 	// scenario, so a result file is self-describing and the run it
@@ -243,7 +237,8 @@ type Result struct {
 	Chain metrics.ChainStats `json:"chain"`
 	// Pipeline sums the pipeline counters of the final level.
 	Pipeline metrics.PipelineStats `json:"pipeline"`
-	// Network totals the switch counters of the final level.
+	// Network totals the deployment's message counters of the final
+	// level.
 	Network NetworkStats `json:"network"`
 	// Heights is every replica's final committed height (index is
 	// replica ID minus one) at the end of the final level — the raw
@@ -300,15 +295,6 @@ type Result struct {
 	// Gini is the Gini coefficient over ProposerShares: 0 for perfect
 	// leader equality, approaching 1 as one leader owns the chain.
 	Gini float64 `json:"gini"`
-}
-
-// fillChainQuality derives the observability digests (stage-breakdown
-// summaries, per-proposer shares, Gini) from the merged chain stats —
-// shared by the in-process and fleet result paths.
-func (r *Result) fillChainQuality(chain metrics.ChainStats) {
-	r.Stages = chain.StageSummaries()
-	r.ProposerShares = chain.Shares()
-	r.Gini = chain.Gini
 }
 
 // Validate reports the first problem with the declared experiment.
@@ -378,6 +364,18 @@ func (e *Experiment) Validate() error {
 	if len(e.Measure.Clients) > 0 && (len(e.Measure.Levels) > 0 || e.Measure.Concurrency > 0) {
 		return fmt.Errorf("harness: measure.clients fixes closed-loop concurrency at one in-flight request per client; drop measure.concurrency/measure.levels")
 	}
+	// The load-shaping extras that need in-process hooks are rejected
+	// on the fleet rather than silently degraded.
+	if e.Backend == BackendFleet {
+		switch {
+		case e.Measure.Fanout:
+			return fmt.Errorf("harness: fleet backend cannot fan out transactions (each server mints its own IDs)")
+		case e.Measure.Bucket > 0:
+			return fmt.Errorf("harness: fleet backend has no commit-series hook")
+		case e.Election == ElectionHashed:
+			return fmt.Errorf("harness: fleet backend runs the server's configured election only")
+		}
+	}
 	return nil
 }
 
@@ -388,19 +386,6 @@ func fleetSpecs(exp Experiment) []ClientSpec {
 		return exp.Measure.Clients
 	}
 	return []ClientSpec{{Count: 1}}
-}
-
-// fleetSize counts the clients the normalized populations declare.
-func fleetSize(specs []ClientSpec) int {
-	total := 0
-	for _, cs := range specs {
-		if cs.Count <= 0 {
-			total++
-			continue
-		}
-		total += cs.Count
-	}
-	return total
 }
 
 // Run executes the experiment and returns its structured result. On
@@ -458,13 +443,11 @@ func Run(exp Experiment) (*Result, error) {
 
 	var best float64
 	for _, st := range steps {
-		var p Point
-		var err error
-		if backend == BackendFleet {
-			p, err = runFleetStep(exp, st.concurrency, st.rate, res)
-		} else {
-			p, err = runStep(exp, st.concurrency, st.rate, res)
+		d, epoch, err := deploy(exp)
+		if err != nil {
+			return fail(err)
 		}
+		p, err := runStep(exp, d, epoch, st.concurrency, st.rate, res)
 		if err != nil {
 			return fail(err)
 		}
@@ -482,73 +465,55 @@ func Run(exp Experiment) (*Result, error) {
 	return res, nil
 }
 
-// runStep executes one load level on a fresh cluster, filling the
-// result's whole-run aggregates and returning the window's point.
-func runStep(exp Experiment, concurrency int, rate float64, res *Result) (Point, error) {
+// runStep executes one load level on a fresh deployment, filling the
+// result's whole-run aggregates and returning the window's point. It is
+// the step driver of every backend: client assembly, the measurement
+// window, teardown order, the whole-run merge and its verdicts are
+// written here once, and d supplies only what differs. epoch is the
+// zero point of the fault schedule. runStep owns d and always stops it.
+func runStep(exp Experiment, d deployment, epoch time.Time, concurrency int, rate float64, res *Result) (Point, error) {
 	var p Point
 	cfg := exp.Config
-	opts := cluster.Options{
-		Backend:       exp.Backend,
-		WithStores:    needStores(exp),
-		LedgerDir:     exp.LedgerDir,
-		DisableLedger: exp.DisableLedger,
-	}
-	if exp.Election == ElectionHashed {
-		opts.Elector = election.NewHashed(cfg.N, cfg.Seed)
-	}
+	n := cfg.N
 
-	// One epoch anchors both the committed-rate buckets and the fault
-	// offsets, so the timeline and the schedule line up exactly.
-	epoch := time.Now()
-	var series *metrics.TimeSeries
-	if exp.Measure.Bucket > 0 {
-		series = metrics.NewTimeSeries(epoch, exp.Measure.Bucket)
-		opts.CommitSeries = series
-	}
-	c, err := cluster.New(cfg, opts)
-	if err != nil {
-		return p, err
-	}
-	defer c.Stop()
-	c.Start()
+	// Teardown order, on every path: join the fault schedule, stop the
+	// load, stop the deployment. Joining first means no fault — a TCP
+	// crash resetting sockets, a fleet crash SIGKILLing a process — is
+	// still running while the transports close underneath it.
+	stop := sync.OnceValue(d.stop)
+	defer stop()
+	stopLoad := sync.OnceFunc(d.stopLoad)
+	defer stopLoad()
+	stopFaults, faultsDone := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(faultsDone)
+		exp.Faults.run(d, epoch, stopFaults, nil)
+	}()
+	joinFaults := sync.OnceFunc(func() {
+		close(stopFaults)
+		<-faultsDone
+	})
+	defer joinFaults()
 
-	// The fault scheduler compiles the declared timeline onto the
-	// cluster: condition-model changes on both backends, plus real
-	// socket teardown for crashes over TCP.
-	stop := make(chan struct{})
-	defer close(stop)
-	if len(exp.Faults) > 0 {
-		go exp.Faults.run(c, epoch, stop, nil)
-	}
-
-	// Assemble the benchmark fleet: one client per declared population
+	// Assemble the benchmark clients: one per declared population
 	// slot, each with its own deterministically seeded generator so a
 	// mixed fleet (readers alongside writers) replays exactly.
-	specs := fleetSpecs(exp)
-	var clients []*client.Client
-	idx := 0
-	for _, cs := range specs {
-		count := cs.Count
-		if count <= 0 {
-			count = 1
-		}
+	var clients []loadClient
+	for _, cs := range fleetSpecs(exp) {
 		wl := exp.Workload
 		if cs.Workload != nil {
 			wl = *cs.Workload
 		}
-		for i := 0; i < count; i++ {
-			gen, err := wl.New(cfg.PayloadSize, cfg.Seed+int64(idx))
+		for i := 0; i < max(cs.Count, 1); i++ {
+			gen, err := wl.New(cfg.PayloadSize, cfg.Seed+int64(len(clients)))
 			if err != nil {
 				return p, err
 			}
-			cl, err := c.NewClient()
+			cl, err := d.attach(gen)
 			if err != nil {
 				return p, err
 			}
-			cl.SetWorkload(gen)
-			cl.SetFanout(exp.Measure.Fanout)
 			clients = append(clients, cl)
-			idx++
 		}
 	}
 	window := exp.Measure.Window
@@ -561,22 +526,16 @@ func runStep(exp Experiment, concurrency int, rate float64, res *Result) (Point,
 	}
 	if rate > 0 {
 		p.Offered = rate
-		per := rate / float64(len(clients))
-		for _, cl := range clients {
-			cl.RunOpenLoop(per)
-		}
+		d.startLoad(rate/float64(len(clients)), 0, perOp)
 	} else {
+		workers := concurrency
 		if len(exp.Measure.Clients) > 0 {
 			// A declared fleet fixes closed-loop concurrency: one
 			// in-flight request per client.
-			concurrency = len(clients)
-			for _, cl := range clients {
-				cl.RunClosedLoop(1, perOp)
-			}
-		} else {
-			clients[0].RunClosedLoop(concurrency, perOp)
+			concurrency, workers = len(clients), 1
 		}
 		p.Offered = float64(concurrency)
+		d.startLoad(0, workers, perOp)
 	}
 
 	if exp.Measure.Warmup > 0 {
@@ -590,15 +549,20 @@ func runStep(exp Experiment, concurrency int, rate float64, res *Result) (Point,
 		startRejected += cl.Rejected()
 		startRetries += cl.Retries()
 	}
-	startPoolRej := poolRejections(c, cfg)
-	observer := c.Node(c.Observer())
-	startChain := observer.Tracker().Snapshot()
-	startMsgs, startBytes, _ := c.NetworkStats()
+	startShed := d.shed()
+	startRecs, _, err := collect(d, n)
+	if err != nil {
+		return p, err
+	}
+	startMsgs, startBytes := d.traffic(startRecs[n-1])
 	begin := time.Now()
 	time.Sleep(window)
 	elapsed := time.Since(begin)
-	endChain := observer.Tracker().Snapshot()
-	endMsgs, endBytes, _ := c.NetworkStats()
+	endRecs, _, err := collect(d, n)
+	if err != nil {
+		return p, err
+	}
+	endMsgs, endBytes := d.traffic(endRecs[n-1])
 	merged := &metrics.Latency{}
 	var endRejected, endRetries uint64
 	minTps, maxTps := math.Inf(1), 0.0
@@ -607,17 +571,12 @@ func runStep(exp Experiment, concurrency int, rate float64, res *Result) (Point,
 		endRejected += cl.Rejected()
 		endRetries += cl.Retries()
 		tps := float64(cl.Committed()-startCommitted[i]) / elapsed.Seconds()
-		if tps < minTps {
-			minTps = tps
-		}
-		if tps > maxTps {
-			maxTps = tps
-		}
+		minTps, maxTps = min(minTps, tps), max(maxTps, tps)
 	}
 	lat := merged.Snapshot()
-	chain := c.AggregateChain()
-
-	p.Throughput = float64(endChain.TxCommitted-startChain.TxCommitted) / elapsed.Seconds()
+	startObs, endObs := startRecs[n-1].Chain, endRecs[n-1].Chain
+	p.Throughput = float64(endObs.TxCommitted-startObs.TxCommitted) / elapsed.Seconds()
+	p.Blocks = endObs.BlocksCommitted - startObs.BlocksCommitted
 	p.Mean, p.P50, p.P95, p.P99, p.P999 = lat.Mean, lat.P50, lat.P95, lat.P99, lat.P999
 	p.Clients = len(clients)
 	p.ClientMinTps, p.ClientMaxTps = minTps, maxTps
@@ -626,39 +585,92 @@ func runStep(exp Experiment, concurrency int, rate float64, res *Result) (Point,
 	}
 	p.Rejected = endRejected - startRejected
 	p.Retries = endRetries - startRetries
-	p.PoolRejections = poolRejections(c, cfg) - startPoolRej
-	p.CGR, p.BI = chain.CGR, chain.BI
-	p.Blocks = endChain.BlocksCommitted - startChain.BlocksCommitted
+	p.PoolRejections = poolRejected(endRecs) - poolRejected(startRecs)
+	p.Shed = d.shed() - startShed
 	p.NetMsgs, p.NetBytes = endMsgs-startMsgs, endBytes-startBytes
-	p.Pipeline = c.AggregatePipeline()
 
-	res.Chain = chain
-	res.fillChainQuality(chain)
-	res.Pipeline = p.Pipeline
-	msgs, bytes, dropped := c.NetworkStats()
-	ts := c.TransportStats()
-	res.Network = NetworkStats{
-		Msgs: msgs, Bytes: bytes, Dropped: dropped,
-		Dials: ts.Dials, Redials: ts.Redials, Accepted: ts.Accepted,
-	}
-	res.Heights, res.Recovered = recoveryVerdict(c, cfg)
-	if cfg.SnapshotInterval > 0 {
-		res.SnapshotHeights = make([]uint64, cfg.N)
-		for i := 1; i <= cfg.N; i++ {
-			res.SnapshotHeights[i-1] = c.Node(types.NodeID(i)).Status().SnapshotHeight
+	joinFaults()
+	stopLoad()
+
+	// Merge every replica's record into the deployment-wide result:
+	// counters summed, ratio metrics averaged over honest replicas,
+	// heights into the recovery verdict. A replica unreachable at the
+	// end keeps a zero record: its height 0 fails the recovery verdict
+	// — the correct reading of "the scenario ended with a replica
+	// dead" — and it sits out the chain merge and the agreement check.
+	final, reached, _ := collect(d, n)
+	var chain metrics.ChainStats
+	var pipeline metrics.PipelineStats
+	var honest []types.NodeID
+	var honestHeights []uint64
+	res.Heights = make([]uint64, n)
+	snapHeights := make([]uint64, n)
+	for i, rr := range final {
+		res.Heights[i], snapHeights[i] = rr.CommittedHeight, rr.SnapshotHeight
+		res.Violations += rr.Violations
+		if id := types.NodeID(i + 1); reached[i] && !cfg.IsByzantine(id) {
+			chain.Accumulate(rr.Chain)
+			pipeline.AddCounters(rr.Pipeline)
+			honest, honestHeights = append(honest, id), append(honestHeights, rr.CommittedHeight)
 		}
 	}
-	if series != nil {
-		res.Series = series.Rates()
+	chain.AverageRatios(len(honest))
+	p.CGR, p.BI = chain.CGR, chain.BI
+	p.Pipeline = pipeline
+	res.Chain = chain
+	res.Stages = chain.StageSummaries()
+	res.ProposerShares = chain.Shares()
+	res.Gini = chain.Gini
+	res.Pipeline = pipeline
+	res.Network = d.totals(final)
+	res.Recovered = recoveredFromHeights(res.Heights, cfg)
+	if cfg.SnapshotInterval > 0 {
+		res.SnapshotHeights = snapHeights
 	}
-	res.Violations += c.Violations()
-	if err := c.ConsistencyCheck(); err != nil {
+	d.finish(res)
+
+	if err := cluster.CheckAgreement(honest, honestHeights, d.hashAt); err != nil {
+		return p, err
+	}
+	if err := stop(); err != nil {
 		return p, err
 	}
 	if res.Violations != 0 {
 		return p, fmt.Errorf("harness: %d safety violations", res.Violations)
 	}
 	return p, nil
+}
+
+// collect reads every replica's record, all at once: replicas keep
+// committing while they are read, and one read stalled on a busy
+// replica (a ledger compaction, a slow HTTP reply) must not skew the
+// heights the others report. An unreachable replica keeps a zero
+// record with reached false; err reports an unreachable observer
+// (replica n, whose counters define the window).
+func collect(d deployment, n int) (recs []httpapi.ReplicaResult, reached []bool, err error) {
+	recs, reached = make([]httpapi.ReplicaResult, n), make([]bool, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range recs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			recs[i], errs[i] = d.replica(types.NodeID(i + 1))
+			reached[i] = errs[i] == nil
+		}()
+	}
+	wg.Wait()
+	return recs, reached, errs[n-1]
+}
+
+// poolRejected sums the replicas' lifetime mempool rejection counters;
+// callers difference two readings to window a delta.
+func poolRejected(recs []httpapi.ReplicaResult) uint64 {
+	var total uint64
+	for _, rr := range recs {
+		total += rr.PoolRejected
+	}
+	return total
 }
 
 // needStores reports whether any declared workload — the experiment's
@@ -676,34 +688,12 @@ func needStores(exp Experiment) bool {
 	return false
 }
 
-// poolRejections sums the replicas' lifetime mempool rejection
-// counters; callers difference two readings to window a delta.
-func poolRejections(c *cluster.Cluster, cfg config.Config) uint64 {
-	var total uint64
-	for i := 1; i <= cfg.N; i++ {
-		total += c.Node(types.NodeID(i)).PoolStats().Rejected
-	}
-	return total
-}
-
-// recoveryVerdict snapshots every replica's committed height at the
-// end of a level and judges whether the honest ones converged.
-func recoveryVerdict(c *cluster.Cluster, cfg config.Config) ([]uint64, bool) {
-	heights := make([]uint64, cfg.N)
-	for i := 1; i <= cfg.N; i++ {
-		heights[i-1] = c.Node(types.NodeID(i)).Status().CommittedHeight
-	}
-	return heights, recoveredFromHeights(heights, cfg)
-}
-
 // recoveredFromHeights judges recovery from the per-replica final
 // committed heights (index = replica ID − 1): every honest replica
 // must be within one forest keep window of the highest honest height,
 // the band the live fetch path covers without deep sync. Fault
 // schedules that isolate a replica for longer than the keep window
-// only pass this with ledger-backed catch-up working. Shared by the
-// in-process backends (which read heights off the cluster) and the
-// fleet backend (which collects them over HTTP).
+// only pass this with ledger-backed catch-up working.
 func recoveredFromHeights(heights []uint64, cfg config.Config) bool {
 	var maxHonest uint64
 	for i, h := range heights {

@@ -233,11 +233,19 @@ func TestValidateRejects(t *testing.T) {
 		{"unknown election", func(e *Experiment) { e.Election = "sortition" }},
 		{"non-positive level", func(e *Experiment) { e.Measure.Levels = []int{4, 0} }},
 		{"non-positive rate", func(e *Experiment) { e.Measure.Rates = []float64{100, -5} }},
+		// In-process-only load shaping is refused on the fleet when the
+		// scenario loads, not once its processes are already running.
+		{"fanout on fleet", func(e *Experiment) { e.Backend, e.Measure.Fanout = BackendFleet, true }},
+		{"bucket on fleet", func(e *Experiment) { e.Backend, e.Measure.Bucket = BackendFleet, time.Second }},
+		{"hashed election on fleet", func(e *Experiment) { e.Backend, e.Election = BackendFleet, ElectionHashed }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			exp := base()
 			tc.mut(&exp)
+			if err := exp.Validate(); err == nil {
+				t.Fatal("Validate accepted the experiment")
+			}
 			if _, err := Run(exp); err == nil {
 				t.Fatal("expected validation error")
 			}

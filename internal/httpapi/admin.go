@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"time"
 
+	"github.com/bamboo-bft/bamboo/internal/core"
 	"github.com/bamboo-bft/bamboo/internal/metrics"
 	"github.com/bamboo-bft/bamboo/internal/network"
 	"github.com/bamboo-bft/bamboo/internal/snapshot"
@@ -105,23 +106,33 @@ type ReplicaResult struct {
 	PoolQueued   uint64 `json:"poolQueued"`
 }
 
-func (s *Server) handleResult(w http.ResponseWriter, _ *http.Request) {
-	st := s.node.Status()
+// ResultOf reads a replica's node-local result slice — the one record
+// /admin/result serves and the in-process harness merges. Pid is left
+// to the caller: only a server process stamps its own.
+func ResultOf(node *core.Node) ReplicaResult {
+	st := node.Status()
+	ps := node.PoolStats()
 	res := ReplicaResult{
-		ID:              uint64(s.node.ID()),
-		Pid:             os.Getpid(),
+		ID:              uint64(node.ID()),
 		CommittedHeight: st.CommittedHeight,
-		LedgerHeight:    s.node.LedgerHeight(),
+		LedgerHeight:    node.LedgerHeight(),
 		SnapshotHeight:  st.SnapshotHeight,
-		Violations:      s.node.Violations(),
-		Chain:           s.node.Tracker().Snapshot(),
-		Pipeline:        s.node.Pipeline().Snapshot(),
+		Violations:      node.Violations(),
+		Chain:           node.Tracker().Snapshot(),
+		Pipeline:        node.Pipeline().Snapshot(),
+		PoolAdmitted:    ps.Admitted,
+		PoolRejected:    ps.Rejected,
+		PoolQueued:      ps.Queued,
 	}
-	ps := s.node.PoolStats()
-	res.PoolAdmitted, res.PoolRejected, res.PoolQueued = ps.Admitted, ps.Rejected, ps.Queued
-	if tr, ok := s.node.Transport().(interface{ Stats() network.TransportStats }); ok {
+	if tr, ok := node.Transport().(interface{ Stats() network.TransportStats }); ok {
 		res.Transport = tr.Stats()
 	}
+	return res
+}
+
+func (s *Server) handleResult(w http.ResponseWriter, _ *http.Request) {
+	res := ResultOf(s.node)
+	res.Pid = os.Getpid()
 	writeJSON(w, res)
 }
 
