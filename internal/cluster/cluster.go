@@ -53,9 +53,6 @@ type Options struct {
 	Backend string
 	// WithStores attaches a kvstore to every replica.
 	WithStores bool
-	// CommitSeries, if non-nil, receives the observer replica's
-	// committed transaction counts over time (Figure 15).
-	CommitSeries *metrics.TimeSeries
 	// OnViolation is invoked on any replica's safety violation.
 	OnViolation func(error)
 	// Elector overrides leader election for every replica (e.g.
@@ -190,7 +187,6 @@ func New(cfg config.Config, opts Options) (*Cluster, error) {
 		}
 		return nil, err
 	}
-	observer := c.Observer()
 	for i := 1; i <= cfg.N; i++ {
 		id := types.NodeID(i)
 		var ep network.Transport
@@ -213,9 +209,6 @@ func New(cfg config.Config, opts Options) (*Cluster, error) {
 			// during deep catch-up (and capture its own when the
 			// interval and a snapshot store are configured).
 			nodeOpts.State = store
-		}
-		if opts.CommitSeries != nil && id == observer {
-			nodeOpts.CommitSeries = opts.CommitSeries
 		}
 		if ledgerDir != "" {
 			openLedger := ledger.OpenBuffered

@@ -89,6 +89,6 @@ func (a *applier) run() {
 			a.n.captureSnapshot(job.block, job.height, job.selfQC)
 		}
 		a.n.onExecuted(job.block.ID())
-		a.n.pipeline.OnBlockApplied(time.Since(job.committedAt))
+		a.n.pipeline.ApplyLag.Record(time.Since(job.committedAt))
 	}
 }

@@ -246,7 +246,7 @@ func (n *Node) maybeVote(b *types.Block, tc *types.TC) {
 	// the event the chain-growth-rate denominator counts
 	// (Section IV-B). Blocks the voting rule rejects never "append"
 	// from this replica's point of view.
-	n.tracker.OnBlockAdded()
+	n.tracker.Added.Add(1)
 	id := b.ID()
 	sig, err := n.scheme.Sign(n.id, types.SigningDigest(b.View, id))
 	if err != nil {
@@ -377,9 +377,6 @@ func (n *Node) commit(target *types.Block) {
 		selfQC := n.commitCert(res.Committed, i)
 		n.apply.enqueue(applyJob{block: cb, height: height, committedAt: now,
 			selfQC: selfQC, snapshot: height == snapHeight && selfQC != nil})
-		if n.opts.CommitSeries != nil {
-			n.opts.CommitSeries.Add(now, uint64(len(cb.Payload)))
-		}
 		for _, fn := range n.commitListeners {
 			fn(cb.View, cb.ID(), cb.Payload)
 		}
@@ -515,7 +512,7 @@ func (n *Node) onTC(tc *types.TC, needVerify bool) {
 // mode, after the maximum network delay otherwise.
 func (n *Node) onNewView(tc *types.TC) {
 	view := n.pm.CurView()
-	n.tracker.OnViewEntered()
+	n.tracker.Views.Add(1)
 	n.trace.OnViewEntered(view, n.elect.Leader(view))
 	if view > 4 {
 		n.votes.Prune(view - 4)

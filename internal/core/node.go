@@ -42,9 +42,6 @@ type Options struct {
 	// Execute, if non-nil, is called with each committed block's
 	// transactions, in commit order (the execution layer).
 	Execute func([]types.Transaction)
-	// CommitSeries, if non-nil, receives committed transaction
-	// counts over time (the responsiveness experiment's series).
-	CommitSeries *metrics.TimeSeries
 	// OnViolation, if non-nil, is called if the forest detects a
 	// commit conflicting with the committed chain. Tests use it to
 	// assert safety; production deployments would page someone.
@@ -155,6 +152,9 @@ type Node struct {
 	// timeout for; the f+1 join rule signs each view at most once.
 	lastTimeoutView types.View
 
+	// metrics is the replica's registry (see declareMetrics); tracker
+	// and pipeline hold handles into it.
+	metrics  *metrics.Registry
 	tracker  *metrics.ChainTracker
 	pipeline *metrics.PipelineTracker
 	trace    *trace.Tracer
@@ -189,7 +189,7 @@ type Node struct {
 	// readable from any goroutine (consistency checks).
 	committedHashes []types.Hash
 
-	violations metrics.Counter
+	violations *metrics.Counter
 }
 
 // proposeEvent asks the loop to propose for a view (possibly delayed
@@ -249,8 +249,6 @@ func NewNode(id types.NodeID, cfg config.Config, factory safety.Factory,
 		pendingQCs: make(map[types.Hash]*types.QC),
 		echoSeen:   make(map[types.Hash]struct{}),
 		owned:      make(map[types.TxID]types.NodeID),
-		tracker:    &metrics.ChainTracker{},
-		pipeline:   &metrics.PipelineTracker{},
 		trace:      trace.New(id, opts.TraceSpans, opts.TraceEvents),
 		applyQueue: defaultApplyQueue,
 		opts:       opts,
@@ -259,12 +257,15 @@ func NewNode(id types.NodeID, cfg config.Config, factory safety.Factory,
 		doneCh:     make(chan struct{}),
 	}
 	n.status = Status{CurView: 1}
-	n.tracker.SetCohort(cfg.N)
+	n.declareMetrics()
 	return n
 }
 
 // ID returns the replica identity.
 func (n *Node) ID() types.NodeID { return n.id }
+
+// Metrics exposes the replica's registry: GET /metrics renders it.
+func (n *Node) Metrics() *metrics.Registry { return n.metrics }
 
 // Tracker exposes the chain micro-metrics (CGR, BI).
 func (n *Node) Tracker() *metrics.ChainTracker { return n.tracker }
@@ -404,7 +405,7 @@ func (n *Node) Stop() {
 // run is the replica's single-threaded event loop.
 func (n *Node) run() {
 	defer close(n.doneCh)
-	n.tracker.OnViewEntered()
+	n.tracker.Views.Add(1)
 	n.trace.OnViewEntered(1, n.elect.Leader(1))
 	// Kick off the first view: its leader proposes the first block.
 	if n.elect.Leader(1) == n.id {
@@ -483,7 +484,7 @@ func (n *Node) publishStatus() {
 	n.status.CommittedView = head.View
 	n.status.CommittedHash = head.ID()
 	n.status.Syncing = n.catchup.state != syncIdle
-	n.status.SyncApplied = n.pipeline.SyncApplied()
+	n.status.SyncApplied = n.pipeline.SyncBlocksApplied.Load()
 	n.statusMu.Unlock()
 }
 
@@ -511,7 +512,7 @@ func (n *Node) onExecuted(id types.Hash) {
 	}
 	feed := func(s metrics.Stage, from, to int64) {
 		if from != 0 && to >= from {
-			n.tracker.OnStage(s, time.Duration(to-from))
+			n.tracker.Stages[s].Record(time.Duration(to - from))
 		}
 	}
 	feed(metrics.StageVerify, sp.Received, sp.Verified)

@@ -87,7 +87,7 @@ func (n *Node) persistSafety() bool {
 		HighQC:      ds.HighQC,
 		Suffix:      n.uncommittedSuffix(ds.HighQC),
 	})
-	n.pipeline.OnWALSync(time.Since(start))
+	n.pipeline.WALSyncWait.Record(time.Since(start))
 	n.trace.OnWALSync(n.pm.CurView(), time.Since(start))
 	if err != nil {
 		// A replica that cannot persist its vote state can no longer

@@ -156,7 +156,7 @@ func (n *Node) onSnapshotRequest(from types.NodeID, m types.SnapshotRequestMsg) 
 		return
 	}
 	if m.Height == 0 {
-		n.pipeline.OnSnapshotServed()
+		n.pipeline.SnapshotsServed.Add(1)
 		n.net.Send(from, types.SnapshotManifestMsg{
 			Height:       snap.Height,
 			Block:        snap.Block,
@@ -287,7 +287,7 @@ func (n *Node) bootstrap() {
 		}
 	}
 	if replayed > 0 || maxQC != nil {
-		n.pipeline.OnBlocksReplayed(replayed)
+		n.pipeline.ReplayedBlocks.Add(replayed)
 		if maxQC != nil {
 			// Views advance at least as fast as heights: rejoin at
 			// the view after the freshest replayed certificate.

@@ -167,7 +167,7 @@ func (n *Node) maybeStartSync(from types.NodeID, b *types.Block) {
 // sendSyncRequest asks the current target for everything above our
 // committed head.
 func (n *Node) sendSyncRequest() {
-	n.pipeline.OnSyncRequested()
+	n.pipeline.SyncRequestsSent.Add(1)
 	n.net.Send(n.catchup.target, types.SyncRequestMsg{From: n.forest.CommittedHeight() + 1})
 }
 
@@ -353,7 +353,7 @@ func (n *Node) onSyncRequest(from types.NodeID, m types.SyncRequestMsg) {
 		}
 		return
 	}
-	n.pipeline.OnSyncServed()
+	n.pipeline.SyncBatchesServed.Add(1)
 	n.net.Send(from, types.SyncResponseMsg{From: m.From, Blocks: blocks, Head: committed, Floor: floor})
 }
 
@@ -367,7 +367,7 @@ func (n *Node) onSyncRequest(from types.NodeID, m types.SyncRequestMsg) {
 // to the snapshot path.
 func (n *Node) onSyncResponse(from types.NodeID, m types.SyncResponseMsg) {
 	if n.catchup.state != syncBlocks || from != n.catchup.target {
-		n.pipeline.OnSyncRejected()
+		n.pipeline.SyncRejected.Add(1)
 		return
 	}
 	before := n.forest.CommittedHeight()
@@ -375,7 +375,7 @@ func (n *Node) onSyncResponse(from types.NodeID, m types.SyncResponseMsg) {
 	if m.From > expected {
 		// A range starting above our next height cannot anchor at the
 		// committed head — there is nothing to verify it against.
-		n.pipeline.OnSyncRejected()
+		n.pipeline.SyncRejected.Add(1)
 		return
 	}
 	if len(m.Blocks) == 0 {
@@ -391,7 +391,7 @@ func (n *Node) onSyncResponse(from types.NodeID, m types.SyncResponseMsg) {
 		return
 	}
 	if len(m.Blocks) > syncBatchSize {
-		n.pipeline.OnSyncRejected()
+		n.pipeline.SyncRejected.Add(1)
 		return
 	}
 	// The committed head may have moved between request and response
@@ -406,7 +406,7 @@ func (n *Node) onSyncResponse(from types.NodeID, m types.SyncResponseMsg) {
 	}
 	blocks := m.Blocks[skip:]
 	if !n.verifySyncChain(blocks) {
-		n.pipeline.OnSyncRejected()
+		n.pipeline.SyncRejected.Add(1)
 		// The target lied or is serving garbage; rotate away from it
 		// rather than trusting its next reply.
 		n.rotateSyncTarget()
@@ -448,7 +448,7 @@ func (n *Node) onSyncResponse(from types.NodeID, m types.SyncResponseMsg) {
 	n.handleQC(blocks[applyCount].QC)
 	n.commit(blocks[applyCount-1])
 	if gained := n.forest.CommittedHeight() - before; gained > 0 {
-		n.pipeline.OnSyncApplied(gained)
+		n.pipeline.SyncBlocksApplied.Add(gained)
 	}
 	n.catchup.lastHeight = n.forest.CommittedHeight()
 	if m.Head > n.catchup.lastHeight+syncHoldback {
@@ -551,7 +551,7 @@ func (n *Node) onSnapshotManifest(from types.NodeID, m types.SnapshotManifestMsg
 		return
 	}
 	if !n.validManifest(&m) {
-		n.pipeline.OnSyncRejected()
+		n.pipeline.SyncRejected.Add(1)
 		return
 	}
 	ep.manifests[from] = &m
@@ -661,7 +661,7 @@ func (n *Node) beginChunkPhase(m *types.SnapshotManifestMsg, agree []types.NodeI
 		// still hash to the agreed digest, exactly like a streamed
 		// one (no install path skips the digest check).
 		if snapshot.Digest(ep.buf) != m.StateDigest {
-			n.pipeline.OnSyncRejected()
+			n.pipeline.SyncRejected.Add(1)
 			n.beginManifestPhase()
 			return
 		}
@@ -700,12 +700,12 @@ func (n *Node) rotateChunkSrc() {
 func (n *Node) onSnapshotChunk(from types.NodeID, m types.SnapshotChunkMsg) {
 	ep := &n.catchup
 	if ep.state != syncChunks || from != ep.chunkSrc {
-		n.pipeline.OnSyncRejected()
+		n.pipeline.SyncRejected.Add(1)
 		return
 	}
 	man := ep.chosen
 	if m.Height != man.Height || m.Chunk != ep.nextChunk {
-		n.pipeline.OnSyncRejected()
+		n.pipeline.SyncRejected.Add(1)
 		return
 	}
 	want := man.TotalSize - uint64(len(ep.buf))
@@ -713,7 +713,7 @@ func (n *Node) onSnapshotChunk(from types.NodeID, m types.SnapshotChunkMsg) {
 		want = uint64(man.ChunkSize)
 	}
 	if uint64(len(m.Data)) != want || snapshot.Digest(m.Data) != man.ChunkDigests[m.Chunk] {
-		n.pipeline.OnSyncRejected()
+		n.pipeline.SyncRejected.Add(1)
 		n.rotateChunkSrc()
 		n.requestChunk()
 		return
@@ -728,7 +728,7 @@ func (n *Node) onSnapshotChunk(from types.NodeID, m types.SnapshotChunkMsg) {
 		// Per-chunk digests were internally consistent but the whole
 		// does not hash to the cross-checked state digest: the chunk
 		// digest list itself was forged. Renegotiate from scratch.
-		n.pipeline.OnSyncRejected()
+		n.pipeline.SyncRejected.Add(1)
 		n.beginManifestPhase()
 		return
 	}
@@ -753,7 +753,7 @@ func (n *Node) installSnapshot() {
 	}
 	n.adoptSnapshot(man.Block, man.QC, man.Height, man.StateDigest)
 	n.apply.enqueue(applyJob{install: snap})
-	n.pipeline.OnSnapshotInstalled()
+	n.pipeline.SnapshotInstalls.Add(1)
 
 	// Suffix: continue the blocks phase from the snapshot height,
 	// served by the peer whose chunks we just verified.

@@ -40,6 +40,7 @@ func backendExperiment(backend string) Experiment {
 			Window:       1800 * time.Millisecond,
 			Concurrency:  6,
 			PerOpTimeout: 400 * time.Millisecond,
+			Bucket:       250 * time.Millisecond,
 		},
 	}
 }
@@ -71,6 +72,9 @@ func TestSameScenarioAllBackends(t *testing.T) {
 			}
 			if len(res.Points) != 1 || res.Points[0].Throughput <= 0 {
 				t.Fatalf("no committed throughput measured: %+v", res.Points)
+			}
+			if len(res.Series) == 0 {
+				t.Fatal("no committed-rate series sampled")
 			}
 			switch backend {
 			case BackendTCP:

@@ -69,7 +69,6 @@ func deploy(exp Experiment) (deployment, time.Time, error) {
 // crashes over TCP), and its benchmark clients.
 type inProcess struct {
 	*cluster.Cluster
-	series  *metrics.TimeSeries
 	fanout  bool
 	clients []*client.Client
 }
@@ -86,14 +85,10 @@ func deployInProcess(exp Experiment) (deployment, time.Time, error) {
 		opts.Elector = election.NewHashed(cfg.N, cfg.Seed)
 	}
 	d := &inProcess{fanout: exp.Measure.Fanout}
-	// One epoch, taken just before assembly (microseconds in-process),
-	// anchors both the committed-rate buckets and the fault offsets, so
-	// the timeline and the schedule line up exactly.
+	// The epoch is taken just before assembly (microseconds
+	// in-process): the fault offsets and the committed-rate buckets
+	// both count from it.
 	epoch := time.Now()
-	if exp.Measure.Bucket > 0 {
-		d.series = metrics.NewTimeSeries(epoch, exp.Measure.Bucket)
-		opts.CommitSeries = d.series
-	}
 	c, err := cluster.New(cfg, opts)
 	if err != nil {
 		return nil, epoch, err
@@ -155,11 +150,8 @@ func (d *inProcess) hashAt(id types.NodeID, height uint64) (string, bool) {
 	return fmt.Sprintf("%x", h[:]), ok
 }
 
-func (d *inProcess) finish(res *Result) {
-	if d.series != nil {
-		res.Series = d.series.Rates()
-	}
-}
+// finish has nothing to add in-process.
+func (d *inProcess) finish(*Result) {}
 
 func (d *inProcess) stop() error {
 	d.Stop()

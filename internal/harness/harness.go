@@ -55,9 +55,9 @@ type Experiment struct {
 	// no-op at Config.PayloadSize).
 	Workload workload.Spec `json:"workload"`
 	// Faults is the timed fault schedule, with offsets measured from
-	// the experiment epoch: just before cluster assembly in-process
-	// (the same anchor as the committed-rate buckets), once every
-	// replica is ready on the fleet.
+	// the experiment epoch: just before cluster assembly in-process,
+	// once every replica is ready on the fleet. The committed-rate
+	// buckets count from the same epoch.
 	Faults FaultSchedule `json:"faults,omitempty"`
 	// Measure is the measurement plan.
 	Measure MeasurePlan `json:"measure"`
@@ -137,9 +137,10 @@ type MeasurePlan struct {
 	// clearly degrades past its best (the paper's "increase
 	// concurrency until saturated").
 	SaturationStop bool `json:"saturationStop,omitempty"`
-	// Bucket, when positive, samples committed transactions into
-	// fixed-width time buckets from cluster start (Result.Series) —
-	// the responsiveness timeline of Figure 15.
+	// Bucket, when positive, samples the observer's committed
+	// transactions at fixed-width boundaries from the epoch to the end
+	// of the window (Result.Series), on every backend — the
+	// responsiveness timeline of Figure 15.
 	Bucket time.Duration `json:"bucket,omitempty"`
 	// Fanout broadcasts each client transaction to every replica
 	// instead of one chosen at random (Section V-E).
@@ -228,10 +229,19 @@ type Result struct {
 	Measure  MeasurePlan   `json:"measure"`
 	// Points holds one datum per measured load level.
 	Points []Point `json:"points"`
-	// Series is the committed-rate timeline (Tx/s per bucket of
-	// Measure.Bucket) when the plan sets one. Like Chain/Pipeline/
-	// Network below it covers the final level only — pair Bucket
-	// with a single-run plan, not a ladder.
+	// Series is the observer's committed-rate timeline (Tx/s per
+	// bucket of Measure.Bucket) when the plan sets one, on every
+	// backend. The step driver reads the observer's committed
+	// transaction count at each bucket boundary from the epoch (where
+	// it is zero: every level deploys afresh) to the end of the
+	// window; a bucket's rate is the count's delta over the measured
+	// time between its two readings, and only complete buckets
+	// appear. A read that fails at a boundary does not fail the run:
+	// the buckets on both sides of it read one rate, the mean over the
+	// span between the good readings around it, and buckets after the
+	// last good reading are left out. Like Chain/Pipeline/Network
+	// below it covers the final level only — pair Bucket with a
+	// single-run plan, not a ladder.
 	Series []float64 `json:"series,omitempty"`
 	// Chain aggregates the chain micro-metrics of the final level.
 	Chain metrics.ChainStats `json:"chain"`
@@ -370,8 +380,6 @@ func (e *Experiment) Validate() error {
 		switch {
 		case e.Measure.Fanout:
 			return fmt.Errorf("harness: fleet backend cannot fan out transactions (each server mints its own IDs)")
-		case e.Measure.Bucket > 0:
-			return fmt.Errorf("harness: fleet backend has no commit-series hook")
 		case e.Election == ElectionHashed:
 			return fmt.Errorf("harness: fleet backend runs the server's configured election only")
 		}
@@ -494,6 +502,17 @@ func runStep(exp Experiment, d deployment, epoch time.Time, concurrency int, rat
 		<-faultsDone
 	})
 	defer joinFaults()
+	stopSeries, seriesDone := make(chan struct{}), make(chan []float64, 1)
+	if exp.Measure.Bucket > 0 {
+		go func() { seriesDone <- sampleSeries(d, types.NodeID(n), epoch, exp.Measure.Bucket, stopSeries) }()
+	} else {
+		seriesDone <- nil
+	}
+	joinSeries := sync.OnceValue(func() []float64 {
+		close(stopSeries)
+		return <-seriesDone
+	})
+	defer joinSeries()
 
 	// Assemble the benchmark clients: one per declared population
 	// slot, each with its own deterministically seeded generator so a
@@ -558,6 +577,7 @@ func runStep(exp Experiment, d deployment, epoch time.Time, concurrency int, rat
 	begin := time.Now()
 	time.Sleep(window)
 	elapsed := time.Since(begin)
+	res.Series = joinSeries()
 	endRecs, _, err := collect(d, n)
 	if err != nil {
 		return p, err
@@ -661,6 +681,37 @@ func collect(d deployment, n int) (recs []httpapi.ReplicaResult, reached []bool,
 	}
 	wg.Wait()
 	return recs, reached, errs[n-1]
+}
+
+// sampleSeries reads the observer's committed transaction count at
+// every bucket boundary after epoch until stop closes, and returns the
+// rate of each complete bucket by the rules of Result.Series.
+func sampleSeries(d deployment, observer types.NodeID, epoch time.Time, bucket time.Duration, stop <-chan struct{}) []float64 {
+	var rates []float64
+	lastAt, lastTx := epoch, uint64(0)
+	for k := 1; ; k++ {
+		tick := time.NewTimer(time.Until(epoch.Add(time.Duration(k) * bucket)))
+		select {
+		case <-stop:
+			tick.Stop()
+			return rates
+		case <-tick.C:
+		}
+		at := time.Now()
+		rr, err := d.replica(observer)
+		if err != nil {
+			continue
+		}
+		tx := rr.Chain.TxCommitted
+		if tx < lastTx {
+			lastTx = 0 // a restarted observer counts again from zero
+		}
+		rate := float64(tx-lastTx) / at.Sub(lastAt).Seconds()
+		for len(rates) < k {
+			rates = append(rates, rate)
+		}
+		lastAt, lastTx = at, tx
+	}
 }
 
 // poolRejected sums the replicas' lifetime mempool rejection counters;

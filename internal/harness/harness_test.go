@@ -236,7 +236,6 @@ func TestValidateRejects(t *testing.T) {
 		// In-process-only load shaping is refused on the fleet when the
 		// scenario loads, not once its processes are already running.
 		{"fanout on fleet", func(e *Experiment) { e.Backend, e.Measure.Fanout = BackendFleet, true }},
-		{"bucket on fleet", func(e *Experiment) { e.Backend, e.Measure.Bucket = BackendFleet, time.Second }},
 		{"hashed election on fleet", func(e *Experiment) { e.Backend, e.Election = BackendFleet, ElectionHashed }},
 	}
 	for _, tc := range cases {

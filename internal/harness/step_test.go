@@ -3,6 +3,7 @@ package harness
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -31,6 +32,15 @@ func (c *fakeClient) Retries() uint64           { return 0 }
 // fakeDeployment is a deployment with no sockets and no processes: its
 // replicas report fixed records, its clients fixed commit steps.
 type fakeDeployment struct {
+	// With perBucket set, the observer's TxCommitted grows by perBucket
+	// every bucket since epoch, and its reads fail while the time since
+	// epoch is in [failFrom, failTo).
+	epoch            time.Time
+	bucket           time.Duration
+	perBucket        uint64
+	failFrom, failTo time.Duration
+	failedReads      atomic.Int32
+
 	recs    []httpapi.ReplicaResult // index is replica ID minus one
 	down    map[types.NodeID]bool   // unreachable replicas
 	forked  map[types.NodeID]bool   // replicas reporting a divergent hash
@@ -80,7 +90,16 @@ func (d *fakeDeployment) replica(id types.NodeID) (httpapi.ReplicaResult, error)
 	if d.down[id] {
 		return httpapi.ReplicaResult{}, errors.New("unreachable")
 	}
-	return d.recs[id-1], nil
+	rr := d.recs[id-1]
+	if d.perBucket > 0 && int(id) == len(d.recs) {
+		since := time.Since(d.epoch)
+		if since >= d.failFrom && since < d.failTo {
+			d.failedReads.Add(1)
+			return httpapi.ReplicaResult{}, errors.New("unreachable")
+		}
+		rr.Chain.TxCommitted = uint64(float64(d.perBucket) * float64(since) / float64(d.bucket))
+	}
+	return rr, nil
 }
 
 func (d *fakeDeployment) traffic(httpapi.ReplicaResult) (uint64, uint64) { return 0, 0 }
@@ -182,5 +201,39 @@ func TestStepJoinsFaultsBeforeStop(t *testing.T) {
 	}
 	if d.beforeLoad {
 		t.Fatal("deployment stopped before its load")
+	}
+}
+
+// TestStepSeriesSampled: with the observer committing at a fixed rate,
+// the series holds exactly the buckets that ended inside the window,
+// each at that rate, and a boundary read that fails neither fails the
+// run nor drops its buckets.
+func TestStepSeriesSampled(t *testing.T) {
+	const bucket, step = 100 * time.Millisecond, 40
+	exp := fakeExperiment()
+	exp.Measure.Window, exp.Measure.Bucket = 6*bucket, bucket
+	d := newFake(exp.Config.N, 1000)
+	// Half a bucket before the window opens, so the window's end falls
+	// mid-bucket: six boundaries inside it, the seventh after.
+	epoch := time.Now().Add(-bucket / 2)
+	d.epoch, d.bucket, d.perBucket = epoch, bucket, step
+	// The read at the third boundary fails; the window's own reads of
+	// the observer, at its start and end, lie outside this span.
+	d.failFrom, d.failTo = 5*bucket/2, 7*bucket/2
+	res := &Result{}
+	if _, err := runStep(exp, d, epoch, 1, 0, res); err != nil {
+		t.Fatal(err)
+	}
+	if d.failedReads.Load() == 0 {
+		t.Fatal("no boundary read failed")
+	}
+	if len(res.Series) != 6 {
+		t.Fatalf("series %v: %d buckets, want the 6 complete ones", res.Series, len(res.Series))
+	}
+	want := float64(step) / bucket.Seconds()
+	for i, r := range res.Series {
+		if math.Abs(r-want) > 0.1*want {
+			t.Fatalf("bucket %d reads %.1f tx/s, want %.1f (series %v)", i, r, want, res.Series)
+		}
 	}
 }

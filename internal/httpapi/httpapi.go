@@ -13,16 +13,12 @@
 //	              deployments — the endpoint's transport counters
 //	              (msgs, bytes, dials).
 //	GET  /hash    committed block hash at ?height=N (consistency check).
-//	GET  /chain   chain micro-metrics as JSON (CGR, BI, committed
-//	              counts, per-proposer commit shares, Gini, per-stage
-//	              histograms) plus the apply, WAL, sync and snapshot
-//	              counters under "pipeline".
-//	GET  /metrics Prometheus text exposition of every replica counter
-//	              and histogram (chain, stages, mempool admission, WAL
-//	              syncs, sync, snapshot, pipeline). Scrape-ready with
-//	              no client library. Requests that ask for JSON via
-//	              the Accept header get 410 Gone pointing at /chain,
-//	              which kept the old JSON shape.
+//	GET  /metrics Prometheus text exposition of every series in the
+//	              replica's metrics registry (chain, stages, mempool
+//	              admission, WAL syncs, sync, snapshot, pipeline).
+//	              Scrape-ready with no client library. The same chain
+//	              and pipeline counters are served as JSON by
+//	              GET /admin/result (see admin.go).
 //	GET  /debug/trace
 //	              block-lifecycle trace rings: span per block with
 //	              stage timestamps, interleaved per-view events. JSON
@@ -116,7 +112,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /tx", s.handleTx)
 	mux.HandleFunc("GET /status", s.handleStatus)
 	mux.HandleFunc("GET /hash", s.handleHash)
-	mux.HandleFunc("GET /chain", s.handleChain)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /debug/trace", s.handleTrace)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
@@ -258,19 +253,11 @@ func (s *Server) handleHash(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]string{"hash": fmt.Sprintf("%x", hash[:])})
 }
 
-// chainResponse flattens the chain micro-metrics (unchanged wire shape
-// for existing consumers of the old JSON /metrics, which moved here)
-// and nests the apply, WAL, sync and snapshot counters.
-type chainResponse struct {
-	metrics.ChainStats
-	Pipeline metrics.PipelineStats `json:"pipeline"`
-}
-
-func (s *Server) handleChain(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, chainResponse{
-		ChainStats: s.node.Tracker().Snapshot(),
-		Pipeline:   s.node.Pipeline().Snapshot(),
-	})
+// handleMetrics is GET /metrics: the replica registry's Prometheus
+// text exposition.
+func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	_ = s.node.Metrics().WriteText(w)
 }
 
 // handleTrace serves the block-lifecycle trace rings: the JSON export

@@ -115,19 +115,21 @@ func TestStatusAndMetrics(t *testing.T) {
 		t.Fatalf("empty status: %+v", status)
 	}
 
-	resp, err = http.Get(srv.URL + "/chain")
+	resp, err = http.Get(srv.URL + "/admin/result")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var m struct {
-		BlocksCommitted uint64
-		TxCommitted     uint64
+		Chain struct {
+			BlocksCommitted uint64
+			TxCommitted     uint64
+		} `json:"chain"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
 		t.Fatal(err)
 	}
 	_ = resp.Body.Close()
-	if m.BlocksCommitted == 0 {
+	if m.Chain.BlocksCommitted == 0 {
 		t.Fatalf("no committed blocks in metrics: %+v", m)
 	}
 }

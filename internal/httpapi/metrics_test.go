@@ -108,38 +108,128 @@ func TestMetricsExposition(t *testing.T) {
 	}
 }
 
-// TestMetricsJSONGone pins the migration contract: asking /metrics for
-// JSON is answered 410 with a pointer at /chain.
-func TestMetricsJSONGone(t *testing.T) {
+// expositionFamilies is every family GET /metrics serves: its type and
+// its label names, "le" aside.
+var expositionFamilies = map[string]struct{ typ, labels string }{
+	"bamboo_committed_blocks_total":         {"counter", ""},
+	"bamboo_added_blocks_total":             {"counter", ""},
+	"bamboo_views_total":                    {"counter", ""},
+	"bamboo_committed_txs_total":            {"counter", ""},
+	"bamboo_chain_cgr":                      {"gauge", ""},
+	"bamboo_chain_bi":                       {"gauge", ""},
+	"bamboo_chain_gini":                     {"gauge", ""},
+	"bamboo_proposer_commits_total":         {"counter", "proposer"},
+	"bamboo_stage_seconds":                  {"histogram", "stage"},
+	"bamboo_current_view":                   {"gauge", ""},
+	"bamboo_committed_height":               {"gauge", ""},
+	"bamboo_snapshot_height":                {"gauge", ""},
+	"bamboo_syncing":                        {"gauge", ""},
+	"bamboo_pool_size":                      {"gauge", ""},
+	"bamboo_pool_overflow":                  {"gauge", ""},
+	"bamboo_pool_admitted_total":            {"counter", ""},
+	"bamboo_pool_rejected_total":            {"counter", ""},
+	"bamboo_pool_queued_total":              {"counter", ""},
+	"bamboo_blocks_applied_total":           {"counter", ""},
+	"bamboo_sync_requests_sent_total":       {"counter", ""},
+	"bamboo_sync_batches_served_total":      {"counter", ""},
+	"bamboo_sync_blocks_applied_total":      {"counter", ""},
+	"bamboo_sync_rejected_total":            {"counter", ""},
+	"bamboo_snapshot_installs_total":        {"counter", ""},
+	"bamboo_snapshots_served_total":         {"counter", ""},
+	"bamboo_replayed_blocks_total":          {"counter", ""},
+	"bamboo_wal_syncs_total":                {"counter", ""},
+	"bamboo_apply_lag_seconds":              {"histogram", ""},
+	"bamboo_wal_sync_seconds":               {"histogram", ""},
+	"bamboo_pacemaker_timeouts_fired_total": {"counter", ""},
+	"bamboo_safety_violations_total":        {"counter", ""},
+}
+
+// TestExpositionFamilies scrapes a cluster that has committed blocks
+// and pins the whole family set: each family once, with its type and
+// label names, and no family beyond the list.
+func TestExpositionFamilies(t *testing.T) {
 	cfg := config.Default()
 	cfg.Protocol = config.ProtocolHotStuff
 	cfg.ApplyProtocolDefaults()
 	cfg.CryptoScheme = "hmac"
-	c, err := cluster.New(cfg, cluster.Options{})
+	cfg.BlockSize = 10
+	c, err := cluster.New(cfg, cluster.Options{WithStores: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	api := New(c.Node(c.Observer()), 9002, time.Second)
+	api := New(c.Node(c.Observer()), 9002, 2*time.Second)
 	srv := httptest.NewServer(api.Handler())
 	c.Start()
 	t.Cleanup(func() {
 		srv.Close()
 		c.Stop()
 	})
-
-	req, _ := http.NewRequest(http.MethodGet, srv.URL+"/metrics", nil)
-	req.Header.Set("Accept", "application/json")
-	resp, err := http.DefaultClient.Do(req)
+	body, _ := json.Marshal(txRequest{Command: kvstore.EncodeNoop(3)})
+	resp, err := http.Post(srv.URL+"/tx", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusGone {
-		t.Fatalf("JSON Accept on /metrics = %d, want 410", resp.StatusCode)
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	resp, err = http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
 	}
-	msg, _ := io.ReadAll(resp.Body)
-	if !strings.Contains(string(msg), "/chain") {
-		t.Fatalf("410 body must point at /chain: %q", msg)
+	text, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	types := map[string]string{}
+	labels := map[string]map[string]bool{}
+	label := regexp.MustCompile(`([a-zA-Z_]+)="`)
+	for _, line := range strings.Split(strings.TrimSpace(string(text)), "\n") {
+		if f, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			name, typ, _ := strings.Cut(f, " ")
+			if _, dup := types[name]; dup {
+				t.Fatalf("family %s declared twice", name)
+			}
+			types[name], labels[name] = typ, map[string]bool{}
+			continue
+		}
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		name, _, _ := strings.Cut(line, " ")
+		name, set, _ := strings.Cut(name, "{")
+		if _, ok := types[name]; !ok {
+			for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+				if base, ok := strings.CutSuffix(name, suffix); ok && types[base] == "histogram" {
+					name = base
+				}
+			}
+		}
+		if _, ok := types[name]; !ok {
+			t.Fatalf("sample %q outside any declared family", line)
+		}
+		for _, m := range label.FindAllStringSubmatch(set, -1) {
+			if m[1] != "le" {
+				labels[name][m[1]] = true
+			}
+		}
+	}
+	for name, want := range expositionFamilies {
+		typ, ok := types[name]
+		if !ok {
+			t.Errorf("family %s missing", name)
+			continue
+		}
+		var got []string
+		for l := range labels[name] {
+			got = append(got, l)
+		}
+		if typ != want.typ || strings.Join(got, ",") != want.labels {
+			t.Errorf("family %s: type %s labels %q, want %s %q", name, typ, got, want.typ, want.labels)
+		}
+	}
+	if len(types) != len(expositionFamilies) {
+		t.Errorf("exposition has %d families, want %d", len(types), len(expositionFamilies))
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 )
 
 // TestPipelineMetricsExposed: /status reports the apply stage's lag
-// behind commit and /chain the apply stage's block counter.
+// behind commit and /admin/result the apply stage's block counter.
 func TestPipelineMetricsExposed(t *testing.T) {
 	cfg := config.Default()
 	cfg.Protocol = config.ProtocolHotStuff
@@ -61,24 +61,22 @@ func TestPipelineMetricsExposed(t *testing.T) {
 		t.Fatalf("no apply-lag samples on the status endpoint: %+v", status)
 	}
 
-	resp, err = http.Get(srv.URL + "/chain")
+	resp, err = http.Get(srv.URL + "/admin/result")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var m struct {
-		BlocksCommitted uint64
-		Pipeline        struct {
-			BlocksApplied uint64
-		} `json:"pipeline"`
+		Chain    struct{ BlocksCommitted uint64 } `json:"chain"`
+		Pipeline struct{ BlocksApplied uint64 }   `json:"pipeline"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
 		t.Fatal(err)
 	}
 	_ = resp.Body.Close()
-	if m.BlocksCommitted == 0 {
+	if m.Chain.BlocksCommitted == 0 {
 		t.Fatalf("no chain metrics: %+v", m)
 	}
 	if m.Pipeline.BlocksApplied == 0 {
-		t.Fatalf("apply counter missing from /chain: %+v", m)
+		t.Fatalf("apply counter missing from /admin/result: %+v", m)
 	}
 }

@@ -99,8 +99,7 @@ func TestHistBucketUpperMatchesLatency(t *testing.T) {
 }
 
 func TestChainTrackerProposerSharesAndGini(t *testing.T) {
-	var ct ChainTracker
-	ct.SetCohort(4)
+	ct := newTracker(4)
 	// Proposer 1 lands 6 blocks, proposer 2 lands 2, proposers 3 and 4
 	// none: counts [6 2 0 0].
 	for i := 0; i < 6; i++ {
@@ -127,12 +126,10 @@ func TestChainTrackerProposerSharesAndGini(t *testing.T) {
 }
 
 func TestChainStatsAccumulateStages(t *testing.T) {
-	var t1, t2 ChainTracker
-	t1.SetCohort(3)
-	t2.SetCohort(3)
-	t1.OnStage(StageVerify, 1*time.Millisecond)
-	t1.OnStage(StageCommit, 8*time.Millisecond)
-	t2.OnStage(StageVerify, 2*time.Millisecond)
+	t1, t2 := newTracker(3), newTracker(3)
+	t1.Stages[StageVerify].Record(1 * time.Millisecond)
+	t1.Stages[StageCommit].Record(8 * time.Millisecond)
+	t2.Stages[StageVerify].Record(2 * time.Millisecond)
 	t1.OnBlockCommitted(1, 1, 4, 5)
 	t2.OnBlockCommitted(2, 2, 5, 5)
 	t2.OnBlockCommitted(2, 3, 6, 5)

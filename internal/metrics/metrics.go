@@ -1,8 +1,8 @@
 // Package metrics implements the measurement facilities of the
 // benchmarker: client-side latency histograms, throughput counters,
 // the paper's two micro-metrics — chain growth rate (CGR) and block
-// interval (BI) — and a time-series sampler for the responsiveness
-// timeline (Figure 15).
+// interval (BI) — and the per-replica Registry every exported series
+// is declared in.
 package metrics
 
 import (
@@ -24,9 +24,9 @@ const (
 
 // LatencySummary is a point-in-time digest of a latency distribution.
 // Quantiles come from the log-bucketed histogram: each is the upper
-// bound of the bucket holding the target rank (clamped to the observed
-// maximum), so a reported quantile is within one bucket-growth factor
-// of the exact order statistic.
+// bound of the bucket holding the nearest rank ceil(q·n) (clamped to
+// the observed maximum), so a reported quantile is within one
+// bucket-growth factor of the exact order statistic.
 type LatencySummary struct {
 	Count uint64
 	Mean  time.Duration
@@ -87,10 +87,8 @@ func (l *Latency) Snapshot() LatencySummary {
 	}
 	s.Mean = l.sum / time.Duration(l.count)
 	quantile := func(q float64) time.Duration {
-		target := uint64(q * float64(l.count))
-		if target == 0 {
-			target = 1
-		}
+		// Nearest rank, the rule of the benchmark's exact quantiles.
+		target := max(uint64(math.Ceil(q*float64(l.count))), 1)
 		var cum uint64
 		for i, c := range l.buckets {
 			cum += c
@@ -324,153 +322,71 @@ func (c *ChainStats) AverageRatios(n int) {
 // ChainTracker accumulates the micro-metrics of Section IV-B, plus
 // the chain-quality metrics (per-proposer committed shares, Gini) and
 // the per-stage block-lifecycle latency histograms the trace layer
-// derives. The zero value is ready to use.
+// derives. Its handles come from the replica's Registry, so Snapshot
+// reads the same storage the exposition renders. Callers Add or Record
+// on a handle directly; a commit moves several at once and goes
+// through OnBlockCommitted.
 type ChainTracker struct {
-	mu          sync.Mutex
-	added       uint64
-	committed   uint64
-	views       uint64
-	biSum       uint64
-	txCommitted uint64
-	cohort      int
-	proposers   map[uint32]uint64
-
-	// stages are per-stage Latency histograms (own locks; recorded
-	// off the tracker mutex — the execute stage reports from the
-	// apply-stage goroutine).
-	stages [numStages]Latency
-}
-
-// SetCohort declares the replica-count the proposer shares are
-// measured over (replicas that never commit a block still count as
-// zero-share proposers in the Gini coefficient). Call before Start.
-func (c *ChainTracker) SetCohort(n int) {
-	c.mu.Lock()
-	c.cohort = n
-	c.mu.Unlock()
-}
-
-// OnStage records one block-lifecycle stage duration.
-func (c *ChainTracker) OnStage(s Stage, d time.Duration) {
-	if s < 0 || s >= numStages {
-		return
-	}
-	c.stages[s].Record(d)
-}
-
-// OnBlockAdded records a block appended to the block tree.
-func (c *ChainTracker) OnBlockAdded() {
-	c.mu.Lock()
-	c.added++
-	c.mu.Unlock()
-}
-
-// OnViewEntered records the replica entering a new view.
-func (c *ChainTracker) OnViewEntered() {
-	c.mu.Lock()
-	c.views++
-	c.mu.Unlock()
+	// Added counts blocks accepted onto the chain (voted for); Views
+	// counts views entered.
+	Added, Views *Counter
+	// Committed counts committed blocks, TxCommitted the transactions
+	// they carry.
+	Committed, TxCommitted *Counter
+	// Proposers[i] counts committed blocks proposed by replica i+1;
+	// its length is the cohort the proposer shares are measured over
+	// (replicas that never commit a block still count as zero-share
+	// proposers in the Gini coefficient).
+	Proposers []*Counter
+	// Stages[s] holds the durations of lifecycle stage s.
+	Stages [numStages]*Latency
+	// biSum is the BI numerator: views from proposal to commit,
+	// summed over committed blocks.
+	biSum Counter
 }
 
 // OnBlockCommitted records a commit of a block proposed by proposer in
 // proposeView that committed while the replica was in commitView,
-// carrying txs transactions.
+// carrying txs transactions. A proposer outside the cohort is not
+// counted per proposer.
 func (c *ChainTracker) OnBlockCommitted(proposer types.NodeID, proposeView, commitView types.View, txs int) {
-	c.mu.Lock()
-	c.committed++
+	c.Committed.Add(1)
 	if commitView >= proposeView {
-		c.biSum += uint64(commitView - proposeView)
+		c.biSum.Add(uint64(commitView - proposeView))
 	}
-	c.txCommitted += uint64(txs)
-	if c.proposers == nil {
-		c.proposers = make(map[uint32]uint64)
+	c.TxCommitted.Add(uint64(txs))
+	if proposer >= 1 && int(proposer) <= len(c.Proposers) {
+		c.Proposers[proposer-1].Add(1)
 	}
-	c.proposers[uint32(proposer)]++
-	c.mu.Unlock()
 }
 
 // Snapshot digests the tracker.
 func (c *ChainTracker) Snapshot() ChainStats {
-	c.mu.Lock()
 	s := ChainStats{
-		BlocksAdded:     c.added,
-		BlocksCommitted: c.committed,
-		ViewsEntered:    c.views,
-		TxCommitted:     c.txCommitted,
-		Cohort:          c.cohort,
+		BlocksAdded:     c.Added.Load(),
+		BlocksCommitted: c.Committed.Load(),
+		ViewsEntered:    c.Views.Load(),
+		TxCommitted:     c.TxCommitted.Load(),
+		Cohort:          len(c.Proposers),
 	}
-	if c.added > 0 {
-		s.CGR = float64(c.committed) / float64(c.added)
-		if s.CGR > 1 {
-			s.CGR = 1
+	if s.BlocksAdded > 0 {
+		s.CGR = min(float64(s.BlocksCommitted)/float64(s.BlocksAdded), 1)
+	}
+	if s.BlocksCommitted > 0 {
+		s.BI = float64(c.biSum.Load()) / float64(s.BlocksCommitted)
+	}
+	for i, p := range c.Proposers {
+		if n := p.Load(); n > 0 {
+			if s.ProposerCommits == nil {
+				s.ProposerCommits = make(map[uint32]uint64, len(c.Proposers))
+			}
+			s.ProposerCommits[uint32(i+1)] = n
 		}
 	}
-	if c.committed > 0 {
-		s.BI = float64(c.biSum) / float64(c.committed)
-	}
-	if len(c.proposers) > 0 {
-		s.ProposerCommits = make(map[uint32]uint64, len(c.proposers))
-		for id, n := range c.proposers {
-			s.ProposerCommits[id] = n
-		}
-	}
-	c.mu.Unlock()
 	s.Gini = s.giniFromCommits()
 	s.Stages = make(map[string]HistData, numStages)
-	for i := range c.stages {
-		s.Stages[StageNames[i]] = c.stages[i].Export()
+	for i, h := range c.Stages {
+		s.Stages[StageNames[i]] = h.Export()
 	}
 	return s
 }
-
-// TimeSeries counts events into fixed-width time buckets; the
-// responsiveness experiment renders throughput over time from it.
-type TimeSeries struct {
-	mu       sync.Mutex
-	start    time.Time
-	interval time.Duration
-	buckets  []uint64
-}
-
-// NewTimeSeries creates a series anchored at start with the given
-// bucket width.
-func NewTimeSeries(start time.Time, interval time.Duration) *TimeSeries {
-	return &TimeSeries{start: start, interval: interval}
-}
-
-// Add records n events at time now.
-func (ts *TimeSeries) Add(now time.Time, n uint64) {
-	if now.Before(ts.start) {
-		return
-	}
-	idx := int(now.Sub(ts.start) / ts.interval)
-	ts.mu.Lock()
-	for len(ts.buckets) <= idx {
-		ts.buckets = append(ts.buckets, 0)
-	}
-	ts.buckets[idx] += n
-	ts.mu.Unlock()
-}
-
-// Buckets returns a copy of the per-bucket counts.
-func (ts *TimeSeries) Buckets() []uint64 {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	out := make([]uint64, len(ts.buckets))
-	copy(out, ts.buckets)
-	return out
-}
-
-// Rates converts bucket counts to events/second.
-func (ts *TimeSeries) Rates() []float64 {
-	counts := ts.Buckets()
-	sec := ts.interval.Seconds()
-	out := make([]float64, len(counts))
-	for i, c := range counts {
-		out[i] = float64(c) / sec
-	}
-	return out
-}
-
-// Interval returns the bucket width.
-func (ts *TimeSeries) Interval() time.Duration { return ts.interval }

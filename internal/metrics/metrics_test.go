@@ -129,13 +129,24 @@ func TestCounter(t *testing.T) {
 	}
 }
 
+// newTracker builds a chain tracker over fresh handles with a cohort of
+// n proposers.
+func newTracker(n int) *ChainTracker {
+	ct := &ChainTracker{Added: new(Counter), Views: new(Counter), Committed: new(Counter), TxCommitted: new(Counter)}
+	for i := 0; i < n; i++ {
+		ct.Proposers = append(ct.Proposers, new(Counter))
+	}
+	for i := range ct.Stages {
+		ct.Stages[i] = new(Latency)
+	}
+	return ct
+}
+
 func TestChainTrackerCGRAndBI(t *testing.T) {
-	var ct ChainTracker
+	ct := newTracker(1)
 	// 10 blocks added; 8 commit; each commits 3 views after proposal
 	// (HotStuff's happy-path three-chain) carrying 400 txs.
-	for i := 0; i < 10; i++ {
-		ct.OnBlockAdded()
-	}
+	ct.Added.Add(10)
 	for v := 1; v <= 8; v++ {
 		ct.OnBlockCommitted(1, types.View(v), types.View(v+3), 400)
 	}
@@ -155,7 +166,7 @@ func TestChainTrackerCGRAndBI(t *testing.T) {
 }
 
 func TestChainTrackerEmpty(t *testing.T) {
-	var ct ChainTracker
+	ct := newTracker(0)
 	s := ct.Snapshot()
 	if s.CGR != 0 || s.BI != 0 {
 		t.Fatalf("empty tracker must report zeros: %+v", s)
@@ -163,8 +174,8 @@ func TestChainTrackerEmpty(t *testing.T) {
 }
 
 func TestChainTrackerNonMonotoneCommitView(t *testing.T) {
-	var ct ChainTracker
-	ct.OnBlockAdded()
+	ct := newTracker(1)
+	ct.Added.Add(1)
 	// commitView < proposeView must not underflow the BI sum.
 	ct.OnBlockCommitted(1, 9, 5, 1)
 	if s := ct.Snapshot(); s.BI != 0 {
@@ -172,29 +183,33 @@ func TestChainTrackerNonMonotoneCommitView(t *testing.T) {
 	}
 }
 
-func TestTimeSeries(t *testing.T) {
-	start := time.Unix(1000, 0)
-	ts := NewTimeSeries(start, time.Second)
-	ts.Add(start.Add(100*time.Millisecond), 5)
-	ts.Add(start.Add(900*time.Millisecond), 5)
-	ts.Add(start.Add(2500*time.Millisecond), 7)
-	ts.Add(start.Add(-time.Second), 99) // before start: dropped
-	got := ts.Buckets()
-	want := []uint64{10, 0, 7}
-	if len(got) != len(want) {
-		t.Fatalf("buckets = %v, want %v", got, want)
+// TestLatencyNearestRank pins the quantile rule to the benchmark's
+// exact one: the sample at nearest rank ceil(q·n), reported as its
+// bucket's upper bound, so within one bucket growth factor above it.
+func TestLatencyNearestRank(t *testing.T) {
+	ms := time.Millisecond
+	tail := make([]time.Duration, 99, 100)
+	for i := range tail {
+		tail[i] = ms
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("buckets = %v, want %v", got, want)
+	tail = append(tail, time.Second)
+	for _, c := range []struct {
+		name    string
+		samples []time.Duration
+		q       func(LatencySummary) time.Duration
+		want    time.Duration
+	}{
+		{"p50 of 1,10,100ms", []time.Duration{ms, 10 * ms, 100 * ms}, func(s LatencySummary) time.Duration { return s.P50 }, 10 * ms},
+		{"p99 of 1,10,100ms", []time.Duration{ms, 10 * ms, 100 * ms}, func(s LatencySummary) time.Duration { return s.P99 }, 100 * ms},
+		{"p999 of 99x1ms+1s", tail, func(s LatencySummary) time.Duration { return s.P999 }, time.Second},
+	} {
+		var l Latency
+		for _, d := range c.samples {
+			l.Record(d)
 		}
-	}
-	rates := ts.Rates()
-	if rates[0] != 10 || rates[2] != 7 {
-		t.Fatalf("rates = %v", rates)
-	}
-	if ts.Interval() != time.Second {
-		t.Fatal("interval accessor wrong")
+		if got := c.q(l.Snapshot()); got < c.want || float64(got) > 1.25*float64(c.want) {
+			t.Errorf("%s = %v, want the nearest-rank sample %v", c.name, got, c.want)
+		}
 	}
 }
 

@@ -1,7 +1,5 @@
 package metrics
 
-import "time"
-
 // PipelineStats digests the replica's hot-path instrumentation beyond
 // the chain metrics: how far block execution lags behind commitment,
 // what state sync, snapshots and restart replay did, and what the
@@ -63,91 +61,40 @@ func (p *PipelineStats) AddCounters(s PipelineStats) {
 	p.WALSyncs += s.WALSyncs
 }
 
-// PipelineTracker accumulates PipelineStats. The zero value is ready
-// to use; all methods are safe for concurrent use.
+// PipelineTracker holds the replica's handles for PipelineStats, taken
+// from its Registry; callers Add or Record on them directly. Blocks
+// applied and WAL syncs are the counts of their latency histograms.
 type PipelineTracker struct {
-	applyLag Latency
-	applied  Counter
-
-	syncRequests Counter
-	syncServed   Counter
-	syncApplied  Counter
-	syncRejected Counter
-
-	snapInstalls Counter
-	snapServed   Counter
-	replayed     Counter
-
-	walSyncs Counter
-	walSync  Latency
-}
-
-// OnBlockApplied records a block finishing execution lag behind its
-// commit.
-func (p *PipelineTracker) OnBlockApplied(lag time.Duration) {
-	p.applyLag.Record(lag)
-	p.applied.Add(1)
-}
-
-// OnSyncRequested records one ranged catch-up request sent.
-func (p *PipelineTracker) OnSyncRequested() { p.syncRequests.Add(1) }
-
-// OnSyncServed records one ranged batch served to a lagging peer.
-func (p *PipelineTracker) OnSyncServed() { p.syncServed.Add(1) }
-
-// OnSyncApplied records n blocks fast-forwarded through state sync.
-func (p *PipelineTracker) OnSyncApplied(n uint64) { p.syncApplied.Add(n) }
-
-// OnSyncRejected records a sync response dropped by verification.
-func (p *PipelineTracker) OnSyncRejected() { p.syncRejected.Add(1) }
-
-// OnSnapshotInstalled records a peer snapshot verified and installed.
-func (p *PipelineTracker) OnSnapshotInstalled() { p.snapInstalls.Add(1) }
-
-// OnSnapshotServed records a snapshot manifest served to a requester.
-func (p *PipelineTracker) OnSnapshotServed() { p.snapServed.Add(1) }
-
-// OnBlocksReplayed records n blocks replayed from the replica's own
-// ledger during restart bootstrap.
-func (p *PipelineTracker) OnBlocksReplayed(n uint64) { p.replayed.Add(n) }
-
-// OnWALSync records one durable safety-state append and how long the
-// event loop waited for it.
-func (p *PipelineTracker) OnWALSync(d time.Duration) {
-	p.walSyncs.Add(1)
-	p.walSync.Record(d)
-}
-
-// SyncApplied returns the running count of sync-applied blocks (the
-// replica status surface reads it without a full snapshot).
-func (p *PipelineTracker) SyncApplied() uint64 { return p.syncApplied.Load() }
-
-// Hists exports the tracker's latency histograms in raw mergeable
-// form, keyed for a Prometheus exposition (seconds histograms named
-// bamboo_<key>_seconds).
-func (p *PipelineTracker) Hists() map[string]HistData {
-	return map[string]HistData{
-		"apply_lag": p.applyLag.Export(),
-		"wal_sync":  p.walSync.Export(),
-	}
+	// ApplyLag observes each applied block's lag behind its commit.
+	ApplyLag          *Latency
+	SyncRequestsSent  *Counter
+	SyncBatchesServed *Counter
+	SyncBlocksApplied *Counter
+	SyncRejected      *Counter
+	SnapshotInstalls  *Counter
+	SnapshotsServed   *Counter
+	ReplayedBlocks    *Counter
+	// WALSyncWait observes each durable safety-state append.
+	WALSyncWait *Latency
 }
 
 // Snapshot digests the tracker.
 func (p *PipelineTracker) Snapshot() PipelineStats {
+	lag, wal := p.ApplyLag.Snapshot(), p.WALSyncWait.Snapshot()
 	return PipelineStats{
-		ApplyLag:      p.applyLag.Snapshot(),
-		BlocksApplied: p.applied.Load(),
+		ApplyLag:      lag,
+		BlocksApplied: lag.Count,
 
-		SyncRequestsSent:  p.syncRequests.Load(),
-		SyncBatchesServed: p.syncServed.Load(),
-		SyncBlocksApplied: p.syncApplied.Load(),
-		SyncRejected:      p.syncRejected.Load(),
+		SyncRequestsSent:  p.SyncRequestsSent.Load(),
+		SyncBatchesServed: p.SyncBatchesServed.Load(),
+		SyncBlocksApplied: p.SyncBlocksApplied.Load(),
+		SyncRejected:      p.SyncRejected.Load(),
 
-		SnapshotInstalls: p.snapInstalls.Load(),
-		SnapshotsServed:  p.snapServed.Load(),
-		ReplayedBlocks:   p.replayed.Load(),
+		SnapshotInstalls: p.SnapshotInstalls.Load(),
+		SnapshotsServed:  p.SnapshotsServed.Load(),
+		ReplayedBlocks:   p.ReplayedBlocks.Load(),
 
-		WALSyncs:    p.walSyncs.Load(),
-		WALSyncWait: p.walSync.Snapshot(),
+		WALSyncs:    wal.Count,
+		WALSyncWait: wal,
 	}
 }
