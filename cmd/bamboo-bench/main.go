@@ -1,72 +1,59 @@
 // Command bamboo-bench regenerates the paper's evaluation (Section
-// VI) on this machine: Table II, Figures 8-15, and the ablation
-// studies, printing rows/series in the shape the paper reports. Every
-// experiment runs through the declarative harness, so alongside the
-// human-readable rows the structured results can be exported as JSON
-// for regression tracking and plotting.
+// VI) on this machine: Table II, Figures 8-15, two ablations, the load
+// ladder and the stage breakdown, each a declared list of harness
+// experiments (figures.go). Every selected figure, and a -run scenario,
+// goes through one path: validate every run before the first starts,
+// run each through harness.Run, print one report per Result, and
+// export the Results as JSON.
 //
 // Usage:
 //
-//	bamboo-bench [-scale 0.25] [-seed 1] [-json dir] table2 fig8 ... | all
+//	bamboo-bench [-scale 0.25] [-seed 1] [-backend tcp] [-json dir] table2 fig8 ... | all
 //	bamboo-bench -run scenario.json [-backend tcp] [-json dir]
 //	bamboo-bench -wire [-json dir]
 //
 // -scale 1 runs paper-like durations; smaller values shrink every
 // warmup/measurement window proportionally. -json writes one
 // BENCH_<experiment>.json file per selected experiment into the given
-// directory (created if missing), each an array of harness Results.
-// `all` runs everything in order.
+// directory (created if missing), each an array of harness Results; a
+// failing run still lands in its file, with its error field set, and
+// the command exits non-zero. `all` runs everything in order.
 //
-// -run executes one declared scenario from a JSON Experiment file
-// (validated before anything starts) instead of the named experiments;
-// -backend deploys over the in-process switch or real loopback TCP
-// sockets, overriding the scenario's own backend — the same file must
-// yield a consistent Result on either, which is exactly what the
-// tcp-smoke CI job asserts.
+// -run executes one declared scenario from a JSON Experiment file,
+// written as BENCH_<scenario>-<backend>.json. -backend deploys over the
+// in-process switch, loopback TCP sockets or one bamboo-server process
+// per replica, overriding the declared backend; the tcp-smoke CI job
+// asserts the same file yields a consistent Result on each.
 //
 // -wire runs the wire-codec micro-benchmarks (binary codec vs the
 // retained gob reference, over the hot-path message mix) and, with
-// -json, writes the structured report as BENCH_wire.json — the file
-// the perf-smoke CI job gates on.
+// -json, writes the report as BENCH_wire.json, which the perf-smoke CI
+// job gates on.
 package main
 
 import (
+	"cmp"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
 	"strings"
 	"time"
 
-	"github.com/bamboo-bft/bamboo/internal/bench"
 	"github.com/bamboo-bft/bamboo/internal/codec/wirebench"
 	"github.com/bamboo-bft/bamboo/internal/harness"
+	"github.com/bamboo-bft/bamboo/internal/metrics"
 )
 
-var experiments = []struct {
-	name string
+// job is the runs that share one result file: a figure or a scenario.
+type job struct {
+	name string // the file is BENCH_<name>.json
 	desc string
-	run  func(*bench.Runner) error
-}{
-	{"table2", "arrival rate vs throughput (HotStuff)", (*bench.Runner).RunTable2},
-	{"fig8", "model vs implementation L-curves", (*bench.Runner).RunFigure8},
-	{"fig9", "block sizes 100/400/800 (+OHS)", (*bench.Runner).RunFigure9},
-	{"fig10", "payload sizes 0/128/1024", (*bench.Runner).RunFigure10},
-	{"fig11", "added network delays 0/5/10ms", (*bench.Runner).RunFigure11},
-	{"fig12", "scalability 4..64 nodes", (*bench.Runner).RunFigure12},
-	{"fig13", "forking attack, 32 nodes", (*bench.Runner).RunFigure13},
-	{"fig14", "silence attack, 32 nodes", (*bench.Runner).RunFigure14},
-	{"fig15", "responsiveness timeline", (*bench.Runner).RunFigure15},
-	{"ablation-crypto", "signature scheme cost", (*bench.Runner).RunAblationCrypto},
-	{"ablation-routing", "vote routing designs", (*bench.Runner).RunAblationVoteBroadcast},
-	{"ablation-responsive", "responsive vs Δ-wait", (*bench.Runner).RunAblationResponsiveness},
-	{"ablation-batching", "client path / batching", (*bench.Runner).RunAblationBatching},
-	{"ablation-fanout", "client fan-out designs", (*bench.Runner).RunAblationClientFanout},
-	{"ablation-election", "leader-election designs", (*bench.Runner).RunAblationElection},
-	{"load", "open-loop rate ladder through saturation (tail latency, admission control)", (*bench.Runner).RunLoadLadder},
-	{"stages", "per-stage commit-latency breakdown + chain quality (proposer shares, Gini)", (*bench.Runner).RunStages},
+	exps []harness.Experiment
 }
 
 func main() {
@@ -84,8 +71,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "usage: bamboo-bench [flags] <experiment>... | all\n")
 		fmt.Fprintf(os.Stderr, "       bamboo-bench -run scenario.json [-backend tcp]\n")
 		fmt.Fprintf(os.Stderr, "       bamboo-bench -wire [-json dir]\n\nexperiments:\n")
-		for _, e := range experiments {
-			fmt.Fprintf(os.Stderr, "  %-20s %s\n", e.name, e.desc)
+		for _, f := range figures {
+			fmt.Fprintf(os.Stderr, "  %-20s %s\n", f.name, f.desc)
 		}
 		fmt.Fprintf(os.Stderr, "\nflags:\n")
 		flag.PrintDefaults()
@@ -93,21 +80,6 @@ func main() {
 	flag.Parse()
 	args := flag.Args()
 	log.SetFlags(0)
-	if *backend != "" {
-		// The harness keeps the single registered-backends list; the
-		// flag accepts exactly what a scenario file may declare.
-		known := false
-		for _, b := range harness.Backends() {
-			if *backend == b {
-				known = true
-				break
-			}
-		}
-		if !known {
-			log.Fatalf("bamboo-bench: unknown backend %q (want %s)",
-				*backend, strings.Join(harness.Backends(), ", "))
-		}
-	}
 	if *jsonDir != "" {
 		if err := os.MkdirAll(*jsonDir, 0o755); err != nil {
 			log.Fatalf("bamboo-bench: %v", err)
@@ -122,6 +94,7 @@ func main() {
 		}
 		return
 	}
+	var jobs []job
 	if *scenario != "" {
 		if len(args) > 0 {
 			log.Fatalf("bamboo-bench: -run replaces named experiments; drop %q", args[0])
@@ -134,60 +107,163 @@ func main() {
 				log.Fatalf("bamboo-bench: -%s does not apply to -run (the scenario file declares its own)", f.Name)
 			}
 		})
-		if err := runScenario(*scenario, *backend, *jsonDir); err != nil {
+		exp, err := harness.LoadExperiment(*scenario)
+		if err != nil {
 			log.Fatalf("bamboo-bench: %v", err)
 		}
-		return
+		exp.Backend = cmp.Or(*backend, exp.Backend)
+		backendName := cmp.Or(exp.Backend, harness.BackendSwitch)
+		jobs = []job{{exp.Name + "-" + backendName, "scenario over " + backendName, []harness.Experiment{exp}}}
+	} else {
+		if len(args) == 0 {
+			flag.Usage()
+			os.Exit(2)
+		}
+		var err error
+		if jobs, err = figureJobs(args, *scale, *seed, *backend); err != nil {
+			log.Fatalf("bamboo-bench: %v (try -h)", err)
+		}
 	}
-	if len(args) == 0 {
-		flag.Usage()
-		os.Exit(2)
+	if err := runJobs(os.Stdout, *jsonDir, jobs); err != nil {
+		log.Fatalf("bamboo-bench: %v", err)
+	}
+}
+
+// figureJobs declares the selected figures, in declaration order, at
+// scale and seed, over backend ("" keeps the harness default).
+func figureJobs(names []string, scale float64, seed int64, backend string) ([]job, error) {
+	if scale <= 0 {
+		scale = 1
+	}
+	if seed == 0 {
+		seed = 1
 	}
 	selected := map[string]bool{}
-	for _, a := range args {
-		if a == "all" {
-			for _, e := range experiments {
-				selected[e.name] = true
-			}
-			continue
-		}
-		known := false
-		for _, e := range experiments {
-			if e.name == a {
+	for _, name := range names {
+		known := name == "all"
+		for _, f := range figures {
+			if name == f.name || name == "all" {
 				known = true
+				selected[f.name] = true
 			}
 		}
 		if !known {
-			log.Fatalf("bamboo-bench: unknown experiment %q (try -h)", a)
+			return nil, fmt.Errorf("unknown experiment %q", name)
 		}
-		selected[a] = true
 	}
+	var jobs []job
+	for _, f := range figures {
+		if !selected[f.name] {
+			continue
+		}
+		exps := f.runs(scale, seed)
+		for i := range exps {
+			exps[i].Backend = cmp.Or(backend, exps[i].Backend)
+		}
+		jobs = append(jobs, job{f.name, f.desc, exps})
+	}
+	return jobs, nil
+}
 
-	runner := bench.NewRunner(os.Stdout, *scale, *seed)
-	runner.Backend = *backend
-	for _, e := range experiments {
-		if !selected[e.name] {
-			continue
-		}
-		fmt.Printf("=== %s: %s ===\n", e.name, e.desc)
-		start := time.Now()
-		if err := e.run(runner); err != nil {
-			log.Fatalf("bamboo-bench: %s: %v", e.name, err)
-		}
-		fmt.Printf("=== %s done in %v ===\n\n", e.name, time.Since(start).Round(time.Millisecond))
-		results := runner.TakeResults()
-		if *jsonDir == "" {
-			continue
-		}
-		for _, res := range results {
-			if res.Name == "" {
-				res.Name = e.name
+// runJobs is the one run path. It validates every run of every job
+// before the first starts, then runs each through harness.Run, prints
+// a report per Result and, with a jsonDir, writes each job's Results
+// as BENCH_<job>.json. A failing run ends the command: its job's file
+// is still written, carrying that run's error, and the error returned.
+func runJobs(w io.Writer, jsonDir string, jobs []job) error {
+	for _, j := range jobs {
+		for i := range j.exps {
+			e := &j.exps[i]
+			if err := errors.Join(e.Config.Validate(), e.Validate()); err != nil {
+				return fmt.Errorf("%s run %d (%s): %w", j.name, i+1, e.Name, err)
 			}
 		}
-		if err := writeResults(*jsonDir, e.name, results); err != nil {
-			log.Fatalf("bamboo-bench: %v", err)
+	}
+	for _, j := range jobs {
+		fmt.Fprintf(w, "=== %s: %s ===\n", j.name, j.desc)
+		start := time.Now()
+		var results []*harness.Result
+		var runErr error
+		for _, e := range j.exps {
+			res, err := harness.Run(e)
+			results = append(results, res)
+			report(w, res)
+			if err != nil {
+				runErr = fmt.Errorf("%s: %s: %w", j.name, e.Name, err)
+				break
+			}
+		}
+		fmt.Fprintf(w, "=== %s done in %v ===\n\n", j.name, time.Since(start).Round(time.Millisecond))
+		if jsonDir != "" {
+			if err := writeJSON(w, jsonDir, j.name, results); err != nil {
+				return err
+			}
+		}
+		if runErr != nil {
+			return runErr
 		}
 	}
+	return nil
+}
+
+// report prints one Result: a line per measured point, the committed-
+// rate series when there is one, one line of per-stage p50/p99 with
+// the Gini, the network totals and the verdicts.
+func report(w io.Writer, res *harness.Result) {
+	c := res.Config
+	fmt.Fprintf(w, "-- %s [%s] %s n=%d bsize=%d psize=%d delay=%v timeout=%v byz=%d",
+		res.Name, res.Backend, c.Protocol, c.N, c.BlockSize, c.PayloadSize, c.Delay, c.Timeout, c.ByzNo)
+	if c.ByzNo > 0 {
+		fmt.Fprintf(w, " (%s)", c.Strategy)
+	}
+	fmt.Fprintln(w)
+	for _, p := range res.Points {
+		fmt.Fprintf(w, "offered %-8.0f tput %8.0f tx/s  mean %s  p50 %s  p99 %s ms  CGR %.3f  BI %.2f  blocks %d  poolRej %d\n",
+			p.Offered, p.Throughput, ms(p.Mean), ms(p.P50), ms(p.P99), p.CGR, p.BI, p.Blocks, p.PoolRejections)
+	}
+	if len(res.Series) > 0 {
+		fmt.Fprintf(w, "series (tx/s per %v):", res.Measure.Bucket)
+		for _, v := range res.Series {
+			fmt.Fprintf(w, " %.0f", v)
+		}
+		fmt.Fprintln(w)
+	}
+	var stages []string
+	for _, name := range metrics.StageNames {
+		if s, ok := res.Stages[name]; ok {
+			stages = append(stages, fmt.Sprintf("%s %s/%s", name, ms(s.P50), ms(s.P99)))
+		}
+	}
+	fmt.Fprintf(w, "stages p50/p99 ms: %s  gini %.3f\n", strings.Join(stages, "  "), res.Gini)
+	n := res.Network
+	fmt.Fprintf(w, "network: %d msgs, %d bytes, %d dropped", n.Msgs, n.Bytes, n.Dropped)
+	if n.Dials > 0 {
+		fmt.Fprintf(w, ", %d dials (%d redials)", n.Dials, n.Redials)
+	}
+	fmt.Fprintf(w, "\nconsistent=%v recovered=%v violations=%d", res.Consistent, res.Recovered, res.Violations)
+	if res.Error != "" {
+		fmt.Fprintf(w, " error=%q", res.Error)
+	}
+	fmt.Fprintln(w)
+}
+
+// ms renders a duration in milliseconds with two decimals.
+func ms(d time.Duration) string {
+	return fmt.Sprintf("%.2f", float64(d)/float64(time.Millisecond))
+}
+
+// writeJSON exports v as BENCH_<name>.json in dir.
+func writeJSON(w io.Writer, dir, name string, v any) error {
+	path := filepath.Join(dir, fmt.Sprintf("BENCH_%s.json", name))
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return fmt.Errorf("marshal %s: %w", name, err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "wrote %s\n\n", path)
+	return nil
 }
 
 // runWire benchmarks the binary wire codec against the retained gob
@@ -206,73 +282,5 @@ func runWire(jsonDir string) error {
 	if jsonDir == "" {
 		return nil
 	}
-	path := filepath.Join(jsonDir, "BENCH_wire.json")
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return fmt.Errorf("marshal wire report: %w", err)
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s (%d cases)\n", path, len(rep.Cases))
-	return nil
-}
-
-// writeResults exports one experiment's structured results as
-// BENCH_<name>.json in dir.
-func writeResults(dir, name string, results []*harness.Result) error {
-	path := filepath.Join(dir, fmt.Sprintf("BENCH_%s.json", name))
-	data, err := json.MarshalIndent(results, "", "  ")
-	if err != nil {
-		return fmt.Errorf("marshal %s: %w", name, err)
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s (%d results)\n\n", path, len(results))
-	return nil
-}
-
-// runScenario loads, validates, and executes one declared scenario
-// file, printing a summary and exporting the Result (named
-// BENCH_<scenario>-<backend>.json so runs of the same file over both
-// backends sit side by side). The result file is written even when the
-// run fails, so CI artifacts capture the Error field.
-func runScenario(path, backend, jsonDir string) error {
-	exp, err := harness.LoadExperiment(path)
-	if err != nil {
-		return err
-	}
-	if backend != "" {
-		exp.Backend = backend
-	}
-	fmt.Printf("=== scenario %s (backend %s) ===\n", exp.Name,
-		resolvedBackend(exp.Backend))
-	start := time.Now()
-	res, runErr := harness.Run(exp)
-	fmt.Printf("=== scenario %s done in %v ===\n", exp.Name, time.Since(start).Round(time.Millisecond))
-	for i, p := range res.Points {
-		fmt.Printf("point %d: offered %.0f -> %.1f tx/s, p50 %v, p99 %v, %d blocks\n",
-			i+1, p.Offered, p.Throughput, p.P50.Round(time.Microsecond), p.P99.Round(time.Microsecond), p.Blocks)
-	}
-	fmt.Printf("network: %d msgs, %d bytes, %d dropped", res.Network.Msgs, res.Network.Bytes, res.Network.Dropped)
-	if res.Network.Dials > 0 {
-		fmt.Printf(", %d dials (%d redials)", res.Network.Dials, res.Network.Redials)
-	}
-	fmt.Printf("\nconsistent=%v recovered=%v violations=%d\n", res.Consistent, res.Recovered, res.Violations)
-	if jsonDir != "" {
-		name := fmt.Sprintf("%s-%s", res.Name, res.Backend)
-		if err := writeResults(jsonDir, name, []*harness.Result{res}); err != nil {
-			return err
-		}
-	}
-	return runErr
-}
-
-// resolvedBackend names the backend a blank declaration falls back to.
-func resolvedBackend(b string) string {
-	if b == "" {
-		return harness.BackendSwitch
-	}
-	return b
+	return writeJSON(os.Stdout, jsonDir, "wire", rep)
 }

@@ -1,6 +1,6 @@
 //go:build !race
 
-package bench
+package main
 
 // raceEnabled reports whether this binary was built with the race
 // detector.

@@ -2,8 +2,8 @@
 // replicas over the channel switch or over real loopback TCP sockets
 // (Options.Backend), a shared signature scheme, fault injection
 // through the network condition model, benchmark clients, and
-// cross-replica consistency checking. Integration tests and every
-// figure's bench runner build on it.
+// cross-replica consistency checking. Integration tests and the
+// harness, which runs every bamboo-bench figure, build on it.
 package cluster
 
 import (

@@ -2,8 +2,9 @@
 // Experiment combines a run configuration, a pluggable workload, a
 // timed fault schedule, and a measurement plan; Run executes it and
 // returns a structured, JSON-marshalable Result. A scenario is data,
-// not a bespoke main() — the bench runners, the cmd tools, and the
-// examples all build on this package.
+// not a bespoke main() — bamboo-bench's declared figures, its -run
+// scenario files, the other cmd tools and the examples all build on
+// this package.
 package harness
 
 import (
