@@ -64,9 +64,10 @@ func TestFigureSmoke(t *testing.T) {
 	small := func(e harness.Experiment) bool { return e.Config.N <= 8 }
 	fewByzantine := func(e harness.Experiment) bool { return e.Config.ByzNo <= 2 }
 	// Under -race the instrumented cluster saturates near the lowest
-	// declared rate. Past it the open-loop pacer falls behind, each
-	// catch-up batch outgrows the last, and Client.Stop waits for the
-	// batch in flight (minutes, seen locally).
+	// declared rate. The rungs past it tear down promptly (the pacer
+	// sheds what it cannot offer), but a host busy with other test
+	// binaries can leave a 150 ms window at 117k tx/s with no commit,
+	// which the throughput check below would report.
 	sustained := func(e harness.Experiment) bool { return !raceEnabled || e.Measure.Rate <= 0.15*satTable2 }
 	cases := []struct {
 		name  string

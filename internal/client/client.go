@@ -45,6 +45,7 @@ type Client struct {
 	committed metrics.Counter
 	rejected  metrics.Counter
 	retries   metrics.Counter
+	shed      metrics.Counter
 
 	mu sync.Mutex
 	// waiters holds the closed-loop operations awaiting an outcome.
@@ -133,6 +134,10 @@ func (c *Client) Rejected() uint64 { return c.rejected.Load() }
 // Retries returns the number of resubmissions made after rejections —
 // the client-side cost of admission control under PolicyReject.
 func (c *Client) Retries() uint64 { return c.retries.Load() }
+
+// Shed returns the number of open-loop arrivals the pacer dropped
+// because it fell behind the declared rate.
+func (c *Client) Shed() uint64 { return c.shed.Load() }
 
 // replyLoop demultiplexes commit confirmations.
 func (c *Client) replyLoop() {
@@ -440,7 +445,7 @@ func (c *Client) RunOpenLoop(rate float64) {
 				c.mu.Unlock()
 			}
 			c.ep.Send(c.pickReplica(), types.RequestMsg{Tx: tx})
-		})
+		}, func(n int) { c.shed.Add(uint64(n)) })
 	}()
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/bamboo-bft/bamboo/internal/config"
 	"github.com/bamboo-bft/bamboo/internal/crypto"
 	"github.com/bamboo-bft/bamboo/internal/network"
 	"github.com/bamboo-bft/bamboo/internal/protocol/hotstuff"
@@ -23,23 +24,32 @@ func authScheme(t *testing.T, name string) crypto.Scheme {
 }
 
 // authNode is an un-started replica 4 of syncTestCfg's 4-node cluster
-// under scheme s, driven by direct handler calls; replicas 1–3 exist
-// only as switch endpoints that absorb what it sends.
+// under scheme s (see handlerNode).
 func authNode(t *testing.T, s crypto.Scheme) *Node {
 	t.Helper()
 	cfg := syncTestCfg()
+	return handlerNode(t, cfg, s, types.NodeID(cfg.N))
+}
+
+// handlerNode is an un-started replica self of cfg's cluster under
+// scheme s, driven by direct handler calls; the other replicas exist
+// only as switch endpoints that absorb what it sends.
+func handlerNode(t *testing.T, cfg config.Config, s crypto.Scheme, self types.NodeID) *Node {
+	t.Helper()
 	cfg.CryptoScheme = s.Name()
 	sw := network.NewSwitch(nil)
 	t.Cleanup(sw.Close)
-	var self *network.Endpoint
+	var ep *network.Endpoint
 	for i := 1; i <= cfg.N; i++ {
-		ep, err := sw.Join(types.NodeID(i))
+		e, err := sw.Join(types.NodeID(i))
 		if err != nil {
 			t.Fatal(err)
 		}
-		self = ep
+		if types.NodeID(i) == self {
+			ep = e
+		}
 	}
-	return NewNode(types.NodeID(cfg.N), cfg, hotstuff.New, self, s, Options{})
+	return NewNode(self, cfg, hotstuff.New, ep, s, Options{})
 }
 
 // signedBlock is proposer's signed, empty block at view on qc.

@@ -39,6 +39,22 @@
 // equation on signatures a key holder crafts with a small-order
 // component; only a cofactored single check agrees with the batch by
 // construction. Honest signatures are valid under both rules.
+//
+// # Ed25519 verification cost
+//
+// Both checks run one multi-scalar multiplication,
+// edwards25519.VarTimeKeyedMultiScalarMult. Every public key is
+// decoded once, when the scheme is built, into an edwards25519.KeyTable:
+// the width-8 NAF tables of A and of 2^128·A, 20 KiB per key (1.3 MiB
+// at n = 64). The base point B has the same pair, built once per
+// process. Each scalar on a fixed base is expanded once, as a width-8
+// NAF, and its digits are split at position 128, a = a_lo + 2^128·a_hi:
+// a_lo reads A's table and a_hi that of 2^128·A. The batch coefficients
+// on the R_i are 128-bit, so the shared doubling chain is 129 steps
+// long instead of 253, and no per-call table is built for any key. The
+// split is an identity of integers, not a reduction mod L, so every
+// verdict is the unsplit equation's, whatever small-order component A
+// or R carries.
 package crypto
 
 import (

@@ -22,7 +22,8 @@ import (
 //
 // Signing is crypto/ed25519's. Verification is the cofactored rule of
 // the package comment, one signature at a time (Verify) or as one batch
-// equation (VerifyBatch).
+// equation (VerifyBatch), over fixed-base tables built here for every
+// public key.
 type Ed25519 struct {
 	pubs  map[types.NodeID]*ed25519Key
 	privs map[types.NodeID]ed25519.PrivateKey
@@ -32,10 +33,11 @@ type Ed25519 struct {
 }
 
 // ed25519Key is a public key in both forms verification uses: the
-// encoding the challenge hash covers and the point, decoded once.
+// encoding the challenge hash covers and the point's fixed-base tables
+// (20 KiB), decoded and built once.
 type ed25519Key struct {
 	enc   ed25519.PublicKey
-	point *edwards25519.Point
+	table *edwards25519.KeyTable
 }
 
 func newEd25519Key(pub []byte) (*ed25519Key, error) {
@@ -43,7 +45,7 @@ func newEd25519Key(pub []byte) (*ed25519Key, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ed25519Key{enc: pub, point: p}, nil
+	return &ed25519Key{enc: pub, table: edwards25519.NewKeyTable(p)}, nil
 }
 
 // newBatchKey draws a scheme's batch coefficient key.
@@ -127,7 +129,9 @@ func (e *Ed25519) Verify(signer types.NodeID, digest, sig []byte) error {
 		return fmt.Errorf("%w: %s", ErrBadSignature, signer)
 	}
 	t.k.Negate(&t.k)
-	w.acc.VarTimeDoubleScalarBaseMult(&t.k, key.point, &t.S)
+	w.keyScalars = append(w.keyScalars[:0], &t.S, &t.k)
+	w.keys = append(w.keys[:0], basepoint, key.table)
+	w.acc.VarTimeKeyedMultiScalarMult(w.keyScalars, w.keys, nil, nil)
 	if !cofactoredIdentity(w.acc.Subtract(&w.acc, &t.R)) {
 		return fmt.Errorf("%w: %s", ErrBadSignature, signer)
 	}
@@ -140,11 +144,15 @@ func (e *Ed25519) Verify(signer types.NodeID, digest, sig []byte) error {
 //	[8]((Σ z_i·S_i)·B − Σ (z_i·k_i)·A_i − Σ z_i·R_i) = O,
 //
 // in a single multi-scalar multiplication, the terms of one signer
-// sharing one point. Every choice of the 128-bit coefficients z_i
-// satisfies it when every item passes Verify; with a failing item, at
-// most a 2^-128 share does. The z_i are SHA-512 of the scheme's batch
-// key and the whole batch, so they are fixed by the batch yet unknown
-// to its signers. One item takes the single check, which is cheaper.
+// sharing one point. z_0 is 1 and the other z_i are 128-bit. Every
+// choice of them satisfies the equation when every item passes Verify.
+// With a failing item i > 0, at most a 2^-128 share of the choices of
+// z_i does; with item 0 failing alone, none does. So fixing z_0 costs
+// no soundness, and it saves R_0's term: R_0 is subtracted after the
+// multiplication, as in the single check. The other z_i are SHA-512 of
+// the scheme's batch key and the whole batch, so they are fixed by the
+// batch yet unknown to its signers. One item takes the single check,
+// which is cheaper.
 func (e *Ed25519) VerifyBatch(items []BatchItem) error {
 	if len(items) == 1 {
 		return e.Verify(items[0].Signer, items[0].Digest, items[0].Sig)
@@ -162,31 +170,32 @@ func (e *Ed25519) VerifyBatch(items []BatchItem) error {
 		}
 	}
 	w.coefficients(e.batchKey, items)
-	w.sumS = edwards25519.Scalar{}
 	w.scalars, w.points = w.scalars[:0], w.points[:0]
-	signers := 0
+	// B's scalar, Σ z_i·S_i, is the first key's.
+	w.a[0] = edwards25519.Scalar{}
+	w.keyScalars = append(w.keyScalars[:0], &w.a[0])
+	w.keys = append(w.keys[:0], basepoint)
 	for i := range items {
 		t, z := &w.terms[i], &w.z[i]
-		w.sumS.MultiplyAdd(z, &t.S, &w.sumS)
-		w.scalars = append(w.scalars, z)
-		w.points = append(w.points, t.R.Negate(&t.R))
+		w.a[0].MultiplyAdd(z, &t.S, &w.a[0])
+		if i > 0 {
+			w.scalars = append(w.scalars, z)
+			w.points = append(w.points, t.R.Negate(&t.R))
+		}
 		t.k.Negate(t.k.Multiply(&t.k, z))
-		j := 0
-		for j < signers && w.aKeys[j] != t.key {
+		j := 1
+		for j < len(w.keys) && w.keys[j] != t.key.table {
 			j++
 		}
-		if j == signers {
-			w.aKeys[j], w.a[j] = t.key, edwards25519.Scalar{}
-			signers++
+		if j == len(w.keys) {
+			w.a[j] = edwards25519.Scalar{}
+			w.keyScalars = append(w.keyScalars, &w.a[j])
+			w.keys = append(w.keys, t.key.table)
 		}
 		w.a[j].Add(&w.a[j], &t.k)
 	}
-	for j := 0; j < signers; j++ {
-		w.scalars = append(w.scalars, &w.a[j])
-		w.points = append(w.points, w.aKeys[j].point)
-	}
-	w.acc.VarTimeMultiScalarBaseMult(&w.sumS, w.scalars, w.points)
-	if !cofactoredIdentity(&w.acc) {
+	w.acc.VarTimeKeyedMultiScalarMult(w.keyScalars, w.keys, w.scalars, w.points)
+	if !cofactoredIdentity(w.acc.Subtract(&w.acc, &w.terms[0].R)) {
 		return fmt.Errorf("%w: batch of %d", ErrBadSignature, len(items))
 	}
 	return nil
@@ -203,17 +212,19 @@ type sigTerms struct {
 // is pooled, so the scheme, which every replica goroutine shares, holds
 // no mutable state, and verification does not allocate once warm.
 type verifyWork struct {
-	h       hash.Hash
-	buf     [64]byte
-	sum     [64]byte
-	wide    [32]byte
-	terms   []sigTerms
-	z, a    []edwards25519.Scalar
-	aKeys   []*ed25519Key
-	sumS    edwards25519.Scalar
-	acc     edwards25519.Point
-	scalars []*edwards25519.Scalar
-	points  []*edwards25519.Point
+	h     hash.Hash
+	buf   [64]byte
+	sum   [64]byte
+	wide  [32]byte
+	terms []sigTerms
+	z, a  []edwards25519.Scalar
+	acc   edwards25519.Point
+	// The multi-scalar multiplication's operands: one scalar for B and
+	// one per distinct signer's key, and one per R but the first.
+	keyScalars []*edwards25519.Scalar
+	keys       []*edwards25519.KeyTable
+	scalars    []*edwards25519.Scalar
+	points     []*edwards25519.Point
 }
 
 var verifyPool = sync.Pool{New: func() any { return &verifyWork{h: sha512.New()} }}
@@ -225,10 +236,11 @@ func (w *verifyWork) grow(n int) {
 	}
 	w.terms = make([]sigTerms, n)
 	w.z = make([]edwards25519.Scalar, n)
-	w.a = make([]edwards25519.Scalar, n)
-	w.aKeys = make([]*ed25519Key, n)
-	w.scalars = make([]*edwards25519.Scalar, 0, 2*n)
-	w.points = make([]*edwards25519.Point, 0, 2*n)
+	w.a = make([]edwards25519.Scalar, n+1)
+	w.keyScalars = make([]*edwards25519.Scalar, 0, n+1)
+	w.keys = make([]*edwards25519.KeyTable, 0, n+1)
+	w.scalars = make([]*edwards25519.Scalar, 0, n)
+	w.points = make([]*edwards25519.Point, 0, n)
 }
 
 // decode loads sig by key over msg into t. S must be canonical (S < L);
@@ -253,9 +265,10 @@ func (w *verifyWork) decode(t *sigTerms, key *ed25519Key, msg, sig []byte) bool 
 	return err == nil
 }
 
-// coefficients sets w.z[i] for every item: 128-bit values, four per
-// SHA-512(seed ‖ block index), where seed is SHA-512 of the batch key
-// and every (signer, digest, signature) of the batch.
+// coefficients sets w.z[i] for every item: z_0 = 1, and the others
+// 128-bit values, four per SHA-512(seed ‖ block index), where seed is
+// SHA-512 of the batch key and every (signer, digest, signature) of the
+// batch.
 func (w *verifyWork) coefficients(key *[32]byte, items []BatchItem) {
 	w.h.Reset()
 	w.h.Write(key[:])
@@ -268,19 +281,26 @@ func (w *verifyWork) coefficients(key *[32]byte, items []BatchItem) {
 		w.h.Write(items[i].Sig)
 	}
 	seed := w.h.Sum(w.buf[:0])
-	for i := range items {
-		if i%4 == 0 {
+	w.z[0] = *scalarOne
+	for i := 1; i < len(items); i++ {
+		if b := i - 1; b%4 == 0 {
 			w.h.Reset()
 			w.h.Write(seed)
-			binary.BigEndian.PutUint32(w.sum[:4], uint32(i/4))
+			binary.BigEndian.PutUint32(w.sum[:4], uint32(b/4))
 			w.h.Write(w.sum[:4])
 			w.h.Sum(w.sum[:0])
 		}
-		copy(w.wide[:16], w.sum[16*(i%4):])
+		copy(w.wide[:16], w.sum[16*((i-1)%4):])
 		// Below 2^128 < L, so always canonical.
 		_, _ = w.z[i].SetCanonicalBytes(w.wide[:])
 	}
 }
+
+// basepoint is the fixed-base table of B, built once per process.
+var basepoint = edwards25519.NewKeyTable(edwards25519.NewGeneratorPoint())
+
+// scalarOne is the coefficient of a batch's first item.
+var scalarOne, _ = edwards25519.NewScalar().SetCanonicalBytes(append([]byte{1}, make([]byte, 31)...))
 
 // identity is the neutral element the cofactored checks compare with.
 var identity = edwards25519.NewIdentityPoint()

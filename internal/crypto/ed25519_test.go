@@ -371,6 +371,19 @@ func BenchmarkVerifyCert(b *testing.B) {
 	}
 }
 
+// BenchmarkNewEd25519 prices a scheme's setup: deriving n key pairs and
+// building each public key's fixed-base tables.
+func BenchmarkNewEd25519(b *testing.B) {
+	for _, n := range []int{8, 64} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				NewEd25519(n, 1)
+			}
+		})
+	}
+}
+
 // BenchmarkVerifyQC is VerifyQC on a 5-of-7 certificate under each
 // scheme; under hmac, which has no batch equation, its allocs/op is the
 // per-certificate cost of the signature-by-signature path.

@@ -125,8 +125,15 @@ func (d *inProcess) stopLoad() {
 	}
 }
 
-// shed is zero in-process: the open loop submits without blocking.
-func (d *inProcess) shed() uint64 { return 0 }
+// shed is what the clients' open-loop pacers dropped for falling
+// behind; sending itself never blocks in-process.
+func (d *inProcess) shed() uint64 {
+	var n uint64
+	for _, cl := range d.clients {
+		n += cl.Shed()
+	}
+	return n
+}
 
 func (d *inProcess) replica(id types.NodeID) (httpapi.ReplicaResult, error) {
 	return httpapi.ResultOf(d.Node(id)), nil

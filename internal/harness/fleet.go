@@ -223,7 +223,8 @@ func startFleetLoad(f *fleet.Fleet, clients []*fleetClient,
 			go func() {
 				defer l.wg.Done()
 				// Each arrival is handed to the submitter pool, or shed
-				// (counted) when the backlog is full.
+				// (counted) when the backlog is full or the pacer fell
+				// behind.
 				workload.Pace(l.stopCh, rate, draw, func(intended time.Time) {
 					job := fleetJob{cl: fc, intended: intended, command: fc.gen.Next(),
 						target: types.NodeID(rng.Intn(n) + 1)}
@@ -232,7 +233,7 @@ func startFleetLoad(f *fleet.Fleet, clients []*fleetClient,
 					default:
 						l.shed.Add(1)
 					}
-				})
+				}, func(k int) { l.shed.Add(uint64(k)) })
 			}()
 		}
 		for s := 0; s < fleetSubmitters; s++ {

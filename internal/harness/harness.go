@@ -184,10 +184,9 @@ type Point struct {
 	// PoolRejections sums the replicas' server-side mempool rejections
 	// over the window — nonzero means admission control engaged.
 	PoolRejections uint64 `json:"poolRejections,omitempty"`
-	// Shed counts open-loop arrivals the fleet backend dropped because
-	// its bounded HTTP submitter pool was saturated — offered load that
-	// never reached a replica. Always zero on in-process backends,
-	// whose open loop submits without blocking.
+	// Shed counts open-loop arrivals that never reached a replica: the
+	// pacer fell more than 50 ms behind the declared rate (any backend),
+	// or the fleet's bounded HTTP submitter pool was saturated.
 	Shed uint64 `json:"shed,omitempty"`
 	// CGR and BI are the chain micro-metrics over the window.
 	CGR float64 `json:"cgr"`

@@ -9,6 +9,12 @@ import (
 // paceTick is the batching interval of the open-loop pacer.
 const paceTick = 2 * time.Millisecond
 
+// paceMaxLag is how far behind the rate the pacer may fall before it
+// sheds: well above a GC pause or a busy host's stall, which the pacer
+// catches up on in full, yet short enough that an arrive slower than
+// the rate cannot build ever larger batches.
+const paceMaxLag = 50 * time.Millisecond
+
 // Pace runs an open-loop Poisson arrival process at rate arrivals per
 // second until stop closes — the arrival model of the Section V
 // analysis, shared by every backend's open loop. Arrivals are generated
@@ -23,7 +29,18 @@ const paceTick = 2 * time.Millisecond
 // (i+0.5)/n of it. Stamping latency from that time rather than the
 // actual send makes a pacer running late show the lag as latency
 // instead of silently omitting it (coordinated omission).
-func Pace(stop <-chan struct{}, rate float64, draw func(mean float64) int, arrive func(intended time.Time)) {
+//
+// A window's arrivals are all still to be offered when it closes, so
+// its length is how far the pacer lags the rate. A window longer than
+// paceMaxLag — arrive is slower than the rate, or the host stalled for
+// longer than that — offers only the arrivals intended in its last
+// paceMaxLag and passes the count of the earlier ones to shed. A
+// shorter lag sheds nothing and shows as latency. stop is checked
+// before every arrival, so Pace returns within one arrive call of stop
+// closing.
+func Pace(stop <-chan struct{}, rate float64, draw func(mean float64) int,
+	arrive func(intended time.Time), shed func(n int)) {
+
 	ticker := time.NewTicker(paceTick)
 	defer ticker.Stop()
 	last := time.Now()
@@ -36,7 +53,20 @@ func Pace(stop <-chan struct{}, rate float64, draw func(mean float64) int, arriv
 		now := time.Now()
 		window := now.Sub(last)
 		n := draw(rate * window.Seconds())
-		for i := 0; i < n; i++ {
+		first := 0
+		if window > paceMaxLag {
+			first = int(math.Ceil(float64(n)*(1-float64(paceMaxLag)/float64(window)) - 0.5))
+			first = min(max(first, 0), n)
+			if first > 0 {
+				shed(first)
+			}
+		}
+		for i := first; i < n; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
 			arrive(last.Add(time.Duration((float64(i) + 0.5) / float64(n) * float64(window))))
 		}
 		last = now
