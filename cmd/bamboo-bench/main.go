@@ -10,7 +10,6 @@
 //
 //	bamboo-bench [-scale 0.25] [-seed 1] [-backend tcp] [-json dir] table2 fig8 ... | all
 //	bamboo-bench -run scenario.json [-backend tcp] [-json dir]
-//	bamboo-bench -wire [-json dir]
 //
 // -scale 1 runs paper-like durations; smaller values shrink every
 // warmup/measurement window proportionally. -json writes one
@@ -25,10 +24,8 @@
 // per replica, overriding the declared backend; the tcp-smoke CI job
 // asserts the same file yields a consistent Result on each.
 //
-// -wire runs the wire-codec micro-benchmarks (binary codec vs the
-// retained gob reference, over the hot-path message mix) and, with
-// -json, writes the report as BENCH_wire.json, which the perf-smoke CI
-// job gates on.
+// The wire codec's micro-benchmarks are plain Go benchmarks:
+// `go test -bench PerMessage -benchmem ./internal/codec`.
 package main
 
 import (
@@ -44,7 +41,6 @@ import (
 	"strings"
 	"time"
 
-	"github.com/bamboo-bft/bamboo/internal/codec/wirebench"
 	"github.com/bamboo-bft/bamboo/internal/harness"
 	"github.com/bamboo-bft/bamboo/internal/metrics"
 )
@@ -65,12 +61,10 @@ func main() {
 		backend  = flag.String("backend", "", fmt.Sprintf(
 			"deployment backend: %q (in-process, default), %q (loopback sockets), or %q (one bamboo-server process per replica)",
 			harness.BackendSwitch, harness.BackendTCP, harness.BackendFleet))
-		wire = flag.Bool("wire", false, "run the wire-codec micro-benchmarks (binary codec vs gob reference)")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: bamboo-bench [flags] <experiment>... | all\n")
-		fmt.Fprintf(os.Stderr, "       bamboo-bench -run scenario.json [-backend tcp]\n")
-		fmt.Fprintf(os.Stderr, "       bamboo-bench -wire [-json dir]\n\nexperiments:\n")
+		fmt.Fprintf(os.Stderr, "       bamboo-bench -run scenario.json [-backend tcp]\n\nexperiments:\n")
 		for _, f := range figures {
 			fmt.Fprintf(os.Stderr, "  %-20s %s\n", f.name, f.desc)
 		}
@@ -84,15 +78,6 @@ func main() {
 		if err := os.MkdirAll(*jsonDir, 0o755); err != nil {
 			log.Fatalf("bamboo-bench: %v", err)
 		}
-	}
-	if *wire {
-		if *scenario != "" || len(args) > 0 {
-			log.Fatalf("bamboo-bench: -wire runs alone; drop other experiments")
-		}
-		if err := runWire(*jsonDir); err != nil {
-			log.Fatalf("bamboo-bench: %v", err)
-		}
-		return
 	}
 	var jobs []job
 	if *scenario != "" {
@@ -264,23 +249,4 @@ func writeJSON(w io.Writer, dir, name string, v any) error {
 	}
 	fmt.Fprintf(w, "wrote %s\n\n", path)
 	return nil
-}
-
-// runWire benchmarks the binary wire codec against the retained gob
-// reference over the hot-path message mix and, with a -json dir,
-// writes the report as BENCH_wire.json.
-func runWire(jsonDir string) error {
-	fmt.Printf("=== wire: binary codec vs gob reference ===\n")
-	start := time.Now()
-	rep := wirebench.Run(os.Stdout)
-	s := rep.Summary
-	fmt.Printf("=== wire done in %v ===\n", time.Since(start).Round(time.Millisecond))
-	fmt.Printf("mix (encode+decode one of each fixture): wire %.0f ns, gob %.0f ns -> %.1fx faster\n",
-		s.WireNsPerMix, s.GobNsPerMix, s.SpeedupX)
-	fmt.Printf("mix allocations: wire %d, gob %d -> %.1fx fewer\n",
-		s.WireAllocsPerMix, s.GobAllocsPerMix, s.AllocRatioX)
-	if jsonDir == "" {
-		return nil
-	}
-	return writeJSON(os.Stdout, jsonDir, "wire", rep)
 }

@@ -13,9 +13,8 @@
 // Besides the client API, the HTTP port carries the fleet control
 // plane (see internal/httpapi): /readyz readiness, POST
 // /admin/conditions for remote fault injection into the server's
-// conditioned transport, GET /admin/result for the node-local slice of
-// a benchmark result, and /admin/snapshot/{manifest,chunk} for
-// out-of-band snapshot transfer. SIGTERM drains the API gracefully; a
+// conditioned transport, and GET /admin/result for the node-local
+// slice of a benchmark result. SIGTERM drains the API gracefully; a
 // second signal forces exit; the process exits non-zero if it observed
 // a safety violation.
 package main
@@ -187,9 +186,6 @@ func run() error {
 	if *httpAddr != "" {
 		api = httpapi.New(node, uint64(self), 30*time.Second)
 		api.SetConditions(cond)
-		if snaps != nil {
-			api.SetSnapshots(snaps)
-		}
 		httpSrv = &http.Server{
 			Addr:              *httpAddr,
 			Handler:           api.Handler(),

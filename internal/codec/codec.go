@@ -1,10 +1,10 @@
 // Package codec serializes protocol messages for the TCP transport
 // with a hand-rolled, versioned binary wire format. Every message in
-// internal/types encodes as explicit little-endian fields behind a
-// fixed frame header, replacing the gob envelopes the transport
-// started with: no per-connection type dictionaries, no reflection on
-// the hot path, and no per-message allocations beyond the decoded
-// message itself (encode and decode stage through pooled buffers).
+// the internal/types wire registry encodes as explicit little-endian
+// fields behind a fixed frame header: no per-connection type
+// dictionaries, no reflection on the hot path, and no per-message
+// allocations beyond the decoded message itself (encode and decode
+// stage through pooled buffers).
 //
 // Frame layout (all integers little-endian):
 //
@@ -18,8 +18,8 @@
 // oversized frame costs exactly one frame: the decoder consumes it,
 // reports a Recoverable error, and the next Decode starts clean at
 // the following frame. This is what lets the TCP transport drop one
-// message instead of discarding the connection (the gob design had to
-// poison the conn because its type dictionary could have advanced).
+// message instead of discarding the connection. A frame from an older
+// wire version, or carrying a retired tag, is such a frame.
 //
 // Decoding is untrusting: every field read is length-checked against
 // the frame, slice counts are bounded by the bytes actually present

@@ -14,7 +14,7 @@ import (
 
 // encodeFrame writes one envelope and flushes, returning the frame's
 // reported wire size.
-func encodeFrame(t *testing.T, buf *bytes.Buffer, env Envelope) int {
+func encodeFrame(t testing.TB, buf *bytes.Buffer, env Envelope) int {
 	t.Helper()
 	enc := NewEncoder(buf)
 	n, err := enc.Encode(env)
@@ -144,31 +144,29 @@ func TestDecodeCorruptStream(t *testing.T) {
 }
 
 // TestDecodeSkipsMalformedFrame: a frame that announces a sane length
-// but carries garbage costs exactly that frame — the decoder consumes
-// it, reports a Recoverable error, and the next frame decodes fine.
-// This is the property that lets the transport drop one message
-// instead of the connection.
+// but carries garbage, a retired tag or an old version costs exactly
+// that frame — the decoder consumes it, reports a Recoverable error,
+// and the next frame decodes fine. This is the property that lets the
+// transport drop one message instead of the connection.
 func TestDecodeSkipsMalformedFrame(t *testing.T) {
 	var buf bytes.Buffer
 	// A well-framed payload with an unknown tag.
-	payload := []byte{types.WireVersion, 0xEE, 1, 0, 0, 0, 42}
-	hdr := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
-	buf.Write(hdr)
-	buf.Write(payload)
+	buf.Write(rawFrame(types.WireVersion, 0xEE, []byte{42}))
 	// A well-framed vote with a truncated body (announces more signer
 	// bytes than the frame holds).
-	bad := []byte{types.WireVersion, byte(types.TagVote), 1, 0, 0, 0, 1, 99, 99}
-	buf.Write(binary.LittleEndian.AppendUint32(nil, uint32(len(bad))))
-	buf.Write(bad)
+	buf.Write(rawFrame(types.WireVersion, types.TagVote, []byte{1, 99, 99}))
 	// A wrong-version frame.
-	verbad := []byte{99, byte(types.TagQuery), 1, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8}
-	buf.Write(binary.LittleEndian.AppendUint32(nil, uint32(len(verbad))))
-	buf.Write(verbad)
+	buf.Write(rawFrame(99, types.TagSyncRequest, []byte{1, 2, 3, 4, 5, 6, 7, 8}))
+	// Frames of the retired tags and of wire version 1.
+	retired, retiredErrs := retiredFrames(t)
+	for _, f := range retired {
+		buf.Write(f)
+	}
 	// Finally a healthy frame.
-	encodeFrame(t, &buf, Envelope{From: 7, Msg: types.QueryMsg{Height: 5}})
+	encodeFrame(t, &buf, Envelope{From: 7, Msg: types.SyncRequestMsg{From: 5}})
 
 	dec := NewDecoder(&buf)
-	for i, want := range []error{ErrUnknownTag, ErrBadFrame, ErrBadVersion} {
+	for i, want := range append([]error{ErrUnknownTag, ErrBadFrame, ErrBadVersion}, retiredErrs...) {
 		_, err := dec.Decode()
 		if !errors.Is(err, want) {
 			t.Fatalf("frame %d: want %v, got %v", i, want, err)
@@ -181,12 +179,39 @@ func TestDecodeSkipsMalformedFrame(t *testing.T) {
 	if err != nil {
 		t.Fatalf("healthy frame after damage: %v", err)
 	}
-	if q, ok := env.Msg.(types.QueryMsg); !ok || q.Height != 5 || env.From != 7 {
+	if q, ok := env.Msg.(types.SyncRequestMsg); !ok || q.From != 5 || env.From != 7 {
 		t.Fatalf("healthy frame mangled: %+v", env)
 	}
 	if _, err := dec.Decode(); err != io.EOF {
 		t.Fatalf("want io.EOF, got %v", err)
 	}
+}
+
+// rawFrame builds one frame by hand: header fields as given, sender 1.
+func rawFrame(version byte, tag types.WireTag, body []byte) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, uint32(framePayloadMin+len(body)))
+	b = append(b, version, byte(tag), 1, 0, 0, 0)
+	return append(b, body...)
+}
+
+// retiredFrames returns frames a version-1 peer could send and this
+// version no longer reads, each with the error it decodes as: one per
+// retired tag (12 PayloadBatch, 14 Query, 15 QueryReply, 16 Slow),
+// with a body of the retired layout, and a version-1 proposal whose
+// body still ends in the payload-ID count that version 2 dropped.
+func retiredFrames(t testing.TB) (frames [][]byte, want []error) {
+	t.Helper()
+	for _, r := range []struct {
+		tag  types.WireTag
+		size int
+	}{{12, 4}, {14, 8}, {15, 48}, {16, 16}} {
+		frames = append(frames, rawFrame(types.WireVersion, r.tag, make([]byte, r.size)))
+		want = append(want, ErrUnknownTag)
+	}
+	var buf bytes.Buffer
+	encodeFrame(t, &buf, Envelope{From: 1, Msg: types.ProposalMsg{Block: &types.Block{View: 3, Proposer: 1}}})
+	body := append(buf.Bytes()[frameHeader:], 0, 0, 0, 0)
+	return append(frames, rawFrame(1, types.TagProposal, body)), append(want, ErrBadVersion)
 }
 
 // Property: request messages round-trip for arbitrary payloads.
@@ -240,7 +265,7 @@ func TestEncodeRejectsOversizedMessage(t *testing.T) {
 		t.Fatal("sender-side oversize must be Recoverable (conn survives)")
 	}
 	// The same encoder keeps working.
-	if _, err := enc.Encode(Envelope{From: 1, Msg: types.QueryMsg{Height: 1}}); err != nil {
+	if _, err := enc.Encode(Envelope{From: 1, Msg: types.SyncRequestMsg{From: 1}}); err != nil {
 		t.Fatalf("encoder poisoned by oversized message: %v", err)
 	}
 	if err := enc.Flush(); err != nil {
@@ -250,7 +275,7 @@ func TestEncodeRejectsOversizedMessage(t *testing.T) {
 	if err != nil {
 		t.Fatalf("stream after oversized reject: %v", err)
 	}
-	if _, ok := env.Msg.(types.QueryMsg); !ok {
+	if _, ok := env.Msg.(types.SyncRequestMsg); !ok {
 		t.Fatalf("unexpected message %T", env.Msg)
 	}
 }
@@ -281,7 +306,7 @@ func TestDecodeSkipsOversizedFrameThenContinues(t *testing.T) {
 	over := MaxFrame + 10
 	buf.Write(binary.LittleEndian.AppendUint32(nil, uint32(over)))
 	buf.Write(make([]byte, over))
-	encodeFrame(t, &buf, Envelope{From: 2, Msg: types.QueryMsg{Height: 9}})
+	encodeFrame(t, &buf, Envelope{From: 2, Msg: types.SyncRequestMsg{From: 9}})
 
 	dec := NewDecoder(&buf)
 	_, err := dec.Decode()
@@ -292,7 +317,7 @@ func TestDecodeSkipsOversizedFrameThenContinues(t *testing.T) {
 	if err != nil {
 		t.Fatalf("frame after oversized skip: %v", err)
 	}
-	if q, ok := env.Msg.(types.QueryMsg); !ok || q.Height != 9 {
+	if q, ok := env.Msg.(types.SyncRequestMsg); !ok || q.From != 9 {
 		t.Fatalf("frame after skip mangled: %+v", env)
 	}
 }

@@ -7,8 +7,9 @@ import (
 )
 
 // FuzzDecode feeds the decoder hostile byte streams. The seed corpus
-// is one valid frame per registered message plus truncations and bit
-// flips of each; the fuzzer mutates from there. The properties under
+// is one valid frame per registry fixture and the frames of retired
+// tags and the old wire version, plus truncations and bit flips of
+// each; the fuzzer mutates from there. The properties under
 // test:
 //
 //   - hostile bytes never panic the decoder;
@@ -23,16 +24,14 @@ import (
 // bytes actually received) is enforced structurally by reader.count
 // and the frame-length arena; see wire.go.
 func FuzzDecode(f *testing.F) {
+	var frames [][]byte
 	for _, fix := range registryFixtures() {
 		var buf bytes.Buffer
-		enc := NewEncoder(&buf)
-		if _, err := enc.Encode(Envelope{From: 3, Msg: fix.Msg}); err != nil {
-			f.Fatal(err)
-		}
-		if err := enc.Flush(); err != nil {
-			f.Fatal(err)
-		}
-		frame := buf.Bytes()
+		encodeFrame(f, &buf, Envelope{From: 3, Msg: fix.Msg})
+		frames = append(frames, buf.Bytes())
+	}
+	retired, _ := retiredFrames(f)
+	for _, frame := range append(frames, retired...) {
 		f.Add(append([]byte(nil), frame...))
 		if len(frame) > 7 {
 			f.Add(append([]byte(nil), frame[:len(frame)-3]...))

@@ -3,7 +3,9 @@ package codec
 // Per-message binary layouts. Each registered message has a size
 // function and an encode branch that MUST agree byte-for-byte (the
 // Encoder checks, and wire_test.go proves it over the whole
-// registry), plus an untrusting decode branch.
+// registry), plus an untrusting decode branch. The registry is the
+// twelve live messages of types.WireTagOf; the retired tags (12, 14,
+// 15, 16) have no branch and decode as ErrUnknownTag.
 //
 // Field primitives, all little-endian:
 //
@@ -13,7 +15,7 @@ package codec
 //	presence     u8 0|1 before any pointer field; 0 means nil
 //	slices       u32 element count + elements
 //
-// Signed int64 fields (timestamps, delays) travel as their two's-
+// Signed int64 fields (transaction timestamps) travel as their two's-
 // complement u64 bit pattern.
 
 import (
@@ -31,7 +33,7 @@ import (
 func bodySize(msg any) int {
 	switch m := msg.(type) {
 	case types.ProposalMsg:
-		return sizeBlockPtr(m.Block) + sizeTCPtr(m.TC) + 4 + 16*len(m.PayloadIDs)
+		return sizeBlockPtr(m.Block) + sizeTCPtr(m.TC)
 	case types.VoteMsg:
 		return sizeVotePtr(m.Vote)
 	case types.TimeoutMsg:
@@ -56,20 +58,8 @@ func bodySize(msg any) int {
 		return 12 + sizeBytes(m.Data)
 	case types.RequestMsg:
 		return sizeTx(&m.Tx)
-	case types.PayloadBatchMsg:
-		n := 4
-		for i := range m.Txs {
-			n += sizeTx(&m.Txs[i])
-		}
-		return n
 	case types.ReplyMsg:
 		return 16 + 8 + 32 + 1
-	case types.QueryMsg:
-		return 8
-	case types.QueryReplyMsg:
-		return 8 + 8 + 32
-	case types.SlowMsg:
-		return 16
 	}
 	panic(fmt.Sprintf("codec: bodySize of unregistered %T", msg))
 }
@@ -144,13 +134,7 @@ func appendBody(b []byte, msg any) []byte {
 	switch m := msg.(type) {
 	case types.ProposalMsg:
 		b = appendBlockPtr(b, m.Block)
-		b = appendTCPtr(b, m.TC)
-		b = appendU32(b, uint32(len(m.PayloadIDs)))
-		for _, id := range m.PayloadIDs {
-			b = appendU64(b, id.Client)
-			b = appendU64(b, id.Seq)
-		}
-		return b
+		return appendTCPtr(b, m.TC)
 	case types.VoteMsg:
 		return appendVotePtr(b, m.Vote)
 	case types.TimeoutMsg:
@@ -192,12 +176,6 @@ func appendBody(b []byte, msg any) []byte {
 		return appendBytes(b, m.Data)
 	case types.RequestMsg:
 		return appendTx(b, &m.Tx)
-	case types.PayloadBatchMsg:
-		b = appendU32(b, uint32(len(m.Txs)))
-		for i := range m.Txs {
-			b = appendTx(b, &m.Txs[i])
-		}
-		return b
 	case types.ReplyMsg:
 		b = appendU64(b, m.TxID.Client)
 		b = appendU64(b, m.TxID.Seq)
@@ -207,15 +185,6 @@ func appendBody(b []byte, msg any) []byte {
 			return append(b, 1)
 		}
 		return append(b, 0)
-	case types.QueryMsg:
-		return appendU64(b, m.Height)
-	case types.QueryReplyMsg:
-		b = appendU64(b, m.CommittedHeight)
-		b = appendU64(b, uint64(m.CommittedView))
-		return append(b, m.BlockHash[:]...)
-	case types.SlowMsg:
-		b = appendU64(b, uint64(m.DelayMeanNanos))
-		return appendU64(b, uint64(m.DelayStdNanos))
 	}
 	panic(fmt.Sprintf("codec: appendBody of unregistered %T", msg))
 }
@@ -560,14 +529,7 @@ func decodeBody(tag types.WireTag, body []byte) (any, error) {
 	var msg any
 	switch tag {
 	case types.TagProposal:
-		m := types.ProposalMsg{Block: r.block(), TC: r.tc()}
-		if n := r.count(16, "payload id"); n > 0 {
-			m.PayloadIDs = make([]types.TxID, n)
-			for i := range m.PayloadIDs {
-				m.PayloadIDs[i] = types.TxID{Client: r.u64(), Seq: r.u64()}
-			}
-		}
-		msg = m
+		msg = types.ProposalMsg{Block: r.block(), TC: r.tc()}
 	case types.TagVote:
 		msg = types.VoteMsg{Vote: r.vote()}
 	case types.TagTimeout:
@@ -604,18 +566,10 @@ func decodeBody(tag types.WireTag, body []byte) (any, error) {
 		var m types.RequestMsg
 		r.tx(&m.Tx)
 		msg = m
-	case types.TagPayloadBatch:
-		msg = types.PayloadBatchMsg{Txs: r.txs()}
 	case types.TagReply:
 		m := types.ReplyMsg{TxID: types.TxID{Client: r.u64(), Seq: r.u64()}, View: types.View(r.u64()), BlockID: r.hash()}
 		m.Rejected = r.u8() == 1
 		msg = m
-	case types.TagQuery:
-		msg = types.QueryMsg{Height: r.u64()}
-	case types.TagQueryReply:
-		msg = types.QueryReplyMsg{CommittedHeight: r.u64(), CommittedView: types.View(r.u64()), BlockHash: r.hash()}
-	case types.TagSlow:
-		msg = types.SlowMsg{DelayMeanNanos: int64(r.u64()), DelayStdNanos: int64(r.u64())}
 	default:
 		return nil, fmt.Errorf("codec: tag %d: %w", tag, ErrUnknownTag)
 	}

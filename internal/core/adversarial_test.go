@@ -55,6 +55,12 @@ func waitProgress(t *testing.T, nodes []*Node, beyond uint64) {
 	}
 }
 
+// foreignMsg is a message type the engine does not know.
+type foreignMsg struct {
+	Height uint64
+	Txs    []types.Transaction
+}
+
 // floodHostile sends a seeded mix of hostile garbage — nil payloads,
 // forged signatures, stale and future views, junk types — from raw to
 // random replicas of a 4-node cluster, 50 rounds of each message.
@@ -66,14 +72,12 @@ func floodHostile(raw *network.Endpoint) {
 		types.TimeoutMsg{},                              // nil timeout
 		types.TCMsg{},                                   // nil TC
 		types.FetchMsg{BlockID: types.Hash{0xde, 0xad}}, // unknown block
-		types.QueryMsg{Height: 1 << 60},                 // absurd height
 		"a string, not a protocol message",              // junk type
 		42,                                              // more junk
 		types.ReplyMsg{TxID: types.TxID{Client: 9, Seq: 9}}, // replies to a replica
-		types.RequestMsg{}, // zero-value transaction
-		types.SlowMsg{DelayMeanNanos: -5, DelayStdNanos: -5}, // nonsense delays
-		types.PayloadBatchMsg{},                              // a message the engine never acts on
-		types.PayloadBatchMsg{Txs: make([]types.Transaction, 3)},
+		types.RequestMsg{},                            // zero-value transaction
+		foreignMsg{Height: 1 << 60},                   // unregistered type, absurd height
+		foreignMsg{Txs: make([]types.Transaction, 3)}, // unregistered type carrying transactions
 	}
 	// Forged consensus messages: bad signatures, wrong proposers,
 	// time-traveling views.
@@ -85,13 +89,10 @@ func floodHostile(raw *network.Endpoint) {
 			View: 3, Proposer: 4, // wrong leader for view 3 (round robin)
 			QC: types.GenesisQC(), Sig: []byte("x"),
 		}},
-		types.ProposalMsg{ // digest form: stripped payload, IDs listed
-			Block: &types.Block{
-				View: 6, Proposer: 2, QC: types.GenesisQC(), Sig: []byte("x"),
-				Digest: types.Hash{0xaa},
-			},
-			PayloadIDs: []types.TxID{{Client: 9, Seq: 9}},
-		},
+		types.ProposalMsg{Block: &types.Block{ // stripped payload
+			View: 6, Proposer: 2, QC: types.GenesisQC(), Sig: []byte("x"),
+			Digest: types.Hash{0xaa},
+		}},
 		types.VoteMsg{Vote: &types.Vote{View: 2, Voter: 2, Sig: []byte("forged")}},
 		types.VoteMsg{Vote: &types.Vote{View: 1 << 40, Voter: 3, Sig: []byte("future")}},
 		types.TimeoutMsg{Timeout: &types.Timeout{View: 1 << 40, Voter: 3, Sig: []byte("future")}},
@@ -189,25 +190,5 @@ func TestFetchServesKnownBlocks(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("fetch unanswered")
-	}
-}
-
-// TestQueryAnswersConsistently: QueryMsg returns the committed state.
-func TestQueryAnswersConsistently(t *testing.T) {
-	nodes, raw := startSwitchCluster(t, 669)
-	nodes[0].Submit(types.Transaction{ID: types.TxID{Client: 1, Seq: 1}})
-	waitProgress(t, nodes, 1)
-	raw.Send(4, types.QueryMsg{})
-	select {
-	case env := <-raw.Inbox():
-		qr, isReply := env.Msg.(types.QueryReplyMsg)
-		if !isReply {
-			t.Fatalf("query answered with %T", env.Msg)
-		}
-		if qr.CommittedHeight == 0 || qr.BlockHash.IsZero() {
-			t.Fatalf("empty query reply: %+v", qr)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("query unanswered")
 	}
 }

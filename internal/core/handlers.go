@@ -577,22 +577,6 @@ func (n *Node) onFetch(from types.NodeID, m types.FetchMsg) {
 	}
 }
 
-// onQuery answers a state query (consistency checks, HTTP API).
-func (n *Node) onQuery(from types.NodeID, m types.QueryMsg) {
-	reply := types.QueryReplyMsg{
-		CommittedHeight: n.forest.CommittedHeight(),
-		CommittedView:   n.forest.CommittedHead().View,
-	}
-	if m.Height != 0 {
-		if h, ok := n.forest.CommittedHash(m.Height); ok {
-			reply.BlockHash = h
-		}
-	} else {
-		reply.BlockHash = n.forest.CommittedHead().ID()
-	}
-	n.net.Send(from, reply)
-}
-
 // rememberEcho inserts into the bounded echo cache.
 func (n *Node) rememberEcho(key types.Hash) {
 	if len(n.echoSeen) >= echoSeenLimit {

@@ -464,12 +464,6 @@ func (n *Node) dispatch(from types.NodeID, msg any) {
 		n.onSnapshotChunk(from, m)
 	case syncRetryEvent:
 		n.onSyncRetry(m)
-	case types.QueryMsg:
-		n.onQuery(from, m)
-	case types.SlowMsg:
-		// Handled by the network layer in simulation; replicas
-		// receiving it over TCP ignore it (conditions are not
-		// modelled there).
 	case proposeEvent:
 		n.propose(m.view, m.tc)
 	}

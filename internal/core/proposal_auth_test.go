@@ -238,14 +238,9 @@ func TestTamperedPayloadDigestRejected(t *testing.T) {
 		}
 		// Each rejected input names a distinct block ID, none of which is
 		// ever sent in full.
-		forms := tx(4, "digest form")
 		rejected := map[string]types.ProposalMsg{
 			"tampered digest": {Block: mk(tx(1, "real"), types.DigestPayload(tx(2, "fake")))},
 			"stripped":        {Block: mk(tx(3, "stripped"), types.Hash{}).StripPayload()},
-			"digest form": {
-				Block:      mk(forms, types.Hash{}).StripPayload(),
-				PayloadIDs: []types.TxID{forms[0].ID},
-			},
 		}
 		honest := mk(tx(5, "honest"), types.Hash{})
 		for _, m := range rejected {

@@ -5,13 +5,11 @@ import (
 	"fmt"
 	"net/http"
 	"os"
-	"strconv"
 	"time"
 
 	"github.com/bamboo-bft/bamboo/internal/core"
 	"github.com/bamboo-bft/bamboo/internal/metrics"
 	"github.com/bamboo-bft/bamboo/internal/network"
-	"github.com/bamboo-bft/bamboo/internal/snapshot"
 )
 
 // The admin surface is the control plane a fleet supervisor drives a
@@ -28,14 +26,6 @@ import (
 //	                                Result: chain/pipeline/transport
 //	                                stats, committed and snapshot
 //	                                heights, violations, PID.
-//	GET  /admin/snapshot/manifest   latest snapshot manifest (heights,
-//	                                digests, chunking), 404 until a
-//	                                snapshot exists.
-//	GET  /admin/snapshot/chunk/{i}  raw chunk bytes; optional ?height=
-//	                                pins the snapshot generation (409 on
-//	                                mismatch), so multi-GB state moves
-//	                                over HTTP instead of competing with
-//	                                votes on the consensus sockets.
 
 // SetReady marks the replica ready: transport bound, bootstrap replay
 // complete, event loop running. Call it after node.Start() returns.
@@ -44,10 +34,6 @@ func (s *Server) SetReady() { s.ready.Store(true) }
 // SetConditions attaches the condition model judging this server's
 // transport, enabling POST /admin/conditions.
 func (s *Server) SetConditions(cond *network.Conditions) { s.cond = cond }
-
-// SetSnapshots attaches the replica's snapshot store, enabling the
-// /admin/snapshot endpoints.
-func (s *Server) SetSnapshots(st *snapshot.Store) { s.snaps = st }
 
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	ready := s.ready.Load()
@@ -134,83 +120,4 @@ func (s *Server) handleResult(w http.ResponseWriter, _ *http.Request) {
 	res := ResultOf(s.node)
 	res.Pid = os.Getpid()
 	writeJSON(w, res)
-}
-
-// SnapshotManifest describes the server's latest snapshot for
-// out-of-band HTTP transfer: everything a fetcher needs to stream and
-// verify chunks. The same trust model as the consensus-socket path
-// applies — the digest is only as good as its source, so a fetcher
-// cross-checks manifests across f+1 servers before streaming.
-type SnapshotManifest struct {
-	Height      uint64   `json:"height"`
-	Block       string   `json:"block"`
-	StateDigest string   `json:"stateDigest"`
-	TotalSize   uint64   `json:"totalSize"`
-	ChunkSize   uint32   `json:"chunkSize"`
-	Chunks      []string `json:"chunks"`
-}
-
-func (s *Server) handleSnapshotManifest(w http.ResponseWriter, _ *http.Request) {
-	if s.snaps == nil {
-		http.Error(w, "replica has no snapshot store", http.StatusNotFound)
-		return
-	}
-	snap, digests, ok := s.snaps.Latest()
-	if !ok {
-		http.Error(w, "no snapshot yet", http.StatusNotFound)
-		return
-	}
-	blockID := snap.Block.ID()
-	m := SnapshotManifest{
-		Height:      snap.Height,
-		Block:       fmt.Sprintf("%x", blockID[:]),
-		StateDigest: fmt.Sprintf("%x", snap.StateDigest[:]),
-		TotalSize:   uint64(len(snap.Payload)),
-		ChunkSize:   snapshot.ChunkSize,
-		Chunks:      make([]string, 0, len(digests)),
-	}
-	for _, d := range digests {
-		m.Chunks = append(m.Chunks, fmt.Sprintf("%x", d[:]))
-	}
-	writeJSON(w, m)
-}
-
-func (s *Server) handleSnapshotChunk(w http.ResponseWriter, r *http.Request) {
-	if s.snaps == nil {
-		http.Error(w, "replica has no snapshot store", http.StatusNotFound)
-		return
-	}
-	idx, err := strconv.ParseUint(r.PathValue("i"), 10, 32)
-	if err != nil {
-		http.Error(w, "bad chunk index", http.StatusBadRequest)
-		return
-	}
-	snap, _, ok := s.snaps.Latest()
-	if !ok {
-		http.Error(w, "no snapshot yet", http.StatusNotFound)
-		return
-	}
-	// A fetcher pins the generation it negotiated via ?height=: if a
-	// newer snapshot replaced it mid-transfer, mixing chunks across
-	// generations must fail loudly, not corrupt silently.
-	if hq := r.URL.Query().Get("height"); hq != "" {
-		want, err := strconv.ParseUint(hq, 10, 64)
-		if err != nil {
-			http.Error(w, "bad height", http.StatusBadRequest)
-			return
-		}
-		if want != snap.Height {
-			http.Error(w, fmt.Sprintf("snapshot advanced to height %d", snap.Height),
-				http.StatusConflict)
-			return
-		}
-	}
-	data := snapshot.Chunk(snap.Payload, snapshot.ChunkSize, uint32(idx))
-	if data == nil {
-		http.Error(w, "chunk index out of range", http.StatusNotFound)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-Snapshot-Height", strconv.FormatUint(snap.Height, 10))
-	_, _ = w.Write(data)
 }

@@ -2,14 +2,11 @@ package httpapi
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -17,8 +14,6 @@ import (
 	"github.com/bamboo-bft/bamboo/internal/cluster"
 	"github.com/bamboo-bft/bamboo/internal/config"
 	"github.com/bamboo-bft/bamboo/internal/kvstore"
-	"github.com/bamboo-bft/bamboo/internal/snapshot"
-	"github.com/bamboo-bft/bamboo/internal/types"
 )
 
 // startAdminCluster is startAPICluster with the Server handle exposed,
@@ -118,124 +113,42 @@ func TestAdminConditionsEndpoint(t *testing.T) {
 	}
 
 	// Without a condition model attached the endpoint refuses.
-	if resp := post(`{"crash":[2]}`); resp.StatusCode != http.StatusServiceUnavailable {
+	if resp := post(`{"dropRate": 1}`); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("no-model status = %d, want 503", resp.StatusCode)
 	}
 
+	// A total drop rate lands on the model: the switch starts counting
+	// condition drops. Clearing it restores delivery.
 	api.SetConditions(c.Conditions())
-	if resp := post(`{"crash":[2]}`); resp.StatusCode != http.StatusOK {
-		t.Fatalf("crash spec status = %d", resp.StatusCode)
+	_, _, before := c.NetworkStats()
+	if resp := post(`{"dropRate": 1}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("drop spec status = %d", resp.StatusCode)
 	}
-	if !c.Conditions().IsCrashed(2) {
-		t.Fatal("crash spec not applied to the condition model")
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if _, _, dropped := c.NetworkStats(); dropped > before {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("drop spec not applied to the condition model")
+		}
 	}
-	if resp := post(`{"restart":[2]}`); resp.StatusCode != http.StatusOK {
-		t.Fatalf("restart spec status = %d", resp.StatusCode)
-	}
-	if c.Conditions().IsCrashed(2) {
-		t.Fatal("restart spec did not clear the crash mark")
+	if resp := post(`{"dropRate": 0}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("clearing drop spec status = %d", resp.StatusCode)
 	}
 
 	// Malformed and invalid specs are rejected before touching the
-	// model.
+	// model. Crashes are not conditions: a crash body is an unknown
+	// field.
 	if resp := post(`{"dropRate": 2.0}`); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("invalid spec status = %d, want 400", resp.StatusCode)
 	}
-	if resp := post(`{"noSuchKnob": true}`); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown field status = %d, want 400", resp.StatusCode)
-	}
-}
-
-func TestAdminSnapshotEndpoints(t *testing.T) {
-	_, api, srv := startAdminCluster(t)
-
-	// No store attached: both endpoints 404.
-	resp, err := http.Get(srv.URL + "/admin/snapshot/manifest")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("no-store manifest status = %d, want 404", resp.StatusCode)
-	}
-
-	// Attach a store holding a two-chunk snapshot.
-	payload := bytes.Repeat([]byte("bamboo"), (snapshot.ChunkSize/6)+100)
-	blk := &types.Block{View: 5, Proposer: 1}
-	snap := &snapshot.Snapshot{
-		Height:      12,
-		Block:       blk,
-		QC:          &types.QC{View: 5, BlockID: blk.ID()},
-		StateDigest: snapshot.Digest(payload),
-		Payload:     payload,
-	}
-	store, err := snapshot.OpenStore(filepath.Join(t.TempDir(), "replica.snap"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := store.Save(snap); err != nil {
-		t.Fatal(err)
-	}
-	api.SetSnapshots(store)
-
-	resp, err = http.Get(srv.URL + "/admin/snapshot/manifest")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m SnapshotManifest
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		t.Fatal(err)
-	}
-	_ = resp.Body.Close()
-	if m.Height != 12 || m.TotalSize != uint64(len(payload)) || m.ChunkSize != snapshot.ChunkSize {
-		t.Fatalf("bad manifest: %+v", m)
-	}
-	wantChunks := snapshot.ChunkCount(uint64(len(payload)), snapshot.ChunkSize)
-	if len(m.Chunks) != wantChunks || wantChunks < 2 {
-		t.Fatalf("manifest chunks = %d, want %d (>= 2)", len(m.Chunks), wantChunks)
-	}
-
-	// Stream every chunk pinned to the manifest's generation and check
-	// each against its advertised digest.
-	var got []byte
-	for i := 0; i < wantChunks; i++ {
-		resp, err := http.Get(fmt.Sprintf("%s/admin/snapshot/chunk/%d?height=%d", srv.URL, i, m.Height))
-		if err != nil {
-			t.Fatal(err)
+	for _, body := range []string{`{"noSuchKnob": true}`, `{"crash":[2]}`, `{"restart":[2]}`} {
+		if resp := post(body); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s status = %d, want 400", body, resp.StatusCode)
 		}
-		data, err := io.ReadAll(resp.Body)
-		_ = resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("chunk %d status = %d", i, resp.StatusCode)
-		}
-		if sum := sha256.Sum256(data); fmt.Sprintf("%x", sum[:]) != m.Chunks[i] {
-			t.Fatalf("chunk %d does not match its manifest digest", i)
-		}
-		got = append(got, data...)
 	}
-	if !bytes.Equal(got, payload) {
-		t.Fatal("reassembled chunks differ from the snapshot payload")
-	}
-
-	// Generation pin mismatch conflicts; out-of-range chunk 404s.
-	resp, err = http.Get(fmt.Sprintf("%s/admin/snapshot/chunk/0?height=%d", srv.URL, m.Height+1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = resp.Body.Close()
-	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("stale-pin status = %d, want 409", resp.StatusCode)
-	}
-	resp, err = http.Get(fmt.Sprintf("%s/admin/snapshot/chunk/%d", srv.URL, wantChunks))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("out-of-range status = %d, want 404", resp.StatusCode)
+	if c.Conditions().IsCrashed(2) {
+		t.Fatal("a rejected crash body reached the condition model")
 	}
 }
 

@@ -38,7 +38,6 @@ import (
 	"github.com/bamboo-bft/bamboo/internal/core"
 	"github.com/bamboo-bft/bamboo/internal/metrics"
 	"github.com/bamboo-bft/bamboo/internal/network"
-	"github.com/bamboo-bft/bamboo/internal/snapshot"
 	"github.com/bamboo-bft/bamboo/internal/types"
 )
 
@@ -47,11 +46,10 @@ type Server struct {
 	node    *core.Node
 	timeout time.Duration
 
-	// admin surface (see admin.go); cond and snaps are optional and
-	// set once before the server starts accepting requests.
+	// admin surface (see admin.go); cond is optional and set once
+	// before the server starts accepting requests.
 	ready atomic.Bool
 	cond  *network.Conditions
-	snaps *snapshot.Store
 
 	mu      sync.Mutex
 	nextSeq uint64
@@ -117,8 +115,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
 	mux.HandleFunc("POST /admin/conditions", s.handleConditions)
 	mux.HandleFunc("GET /admin/result", s.handleResult)
-	mux.HandleFunc("GET /admin/snapshot/manifest", s.handleSnapshotManifest)
-	mux.HandleFunc("GET /admin/snapshot/chunk/{i}", s.handleSnapshotChunk)
 	return mux
 }
 

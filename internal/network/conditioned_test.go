@@ -38,7 +38,7 @@ func deliver(t *testing.T, tr *Conditioned, want uint64, send func()) {
 			if !ok {
 				t.Fatal("inbox closed while waiting")
 			}
-			if q, isQ := env.Msg.(types.QueryMsg); isQ && q.Height == want {
+			if q, isQ := env.Msg.(types.SyncRequestMsg); isQ && q.From == want {
 				return
 			}
 		case <-tick.C:
@@ -61,8 +61,8 @@ func mustStaySilent(t *testing.T, tr *Conditioned, floor uint64, send func()) {
 			if !ok {
 				t.Fatal("inbox closed")
 			}
-			if q, isQ := env.Msg.(types.QueryMsg); isQ && q.Height >= floor {
-				t.Fatalf("message %d delivered through an active fault", q.Height)
+			if q, isQ := env.Msg.(types.SyncRequestMsg); isQ && q.From >= floor {
+				t.Fatalf("message %d delivered through an active fault", q.From)
 			}
 		case <-deadline:
 			return
@@ -77,13 +77,13 @@ func mustStaySilent(t *testing.T, tr *Conditioned, floor uint64, send func()) {
 func TestConditionedPartitionMatchesSwitchSemantics(t *testing.T) {
 	ca, cb, cond := newConditionedPair(t)
 
-	deliver(t, cb, 1, func() { ca.Send(2, types.QueryMsg{Height: 1}) })
+	deliver(t, cb, 1, func() { ca.Send(2, types.SyncRequestMsg{From: 1}) })
 
 	cond.Partition(map[types.NodeID]int{1: 1})
-	mustStaySilent(t, cb, 2, func() { ca.Send(2, types.QueryMsg{Height: 2}) })
+	mustStaySilent(t, cb, 2, func() { ca.Send(2, types.SyncRequestMsg{From: 2}) })
 
 	cond.Heal()
-	deliver(t, cb, 3, func() { ca.Send(2, types.QueryMsg{Height: 3}) })
+	deliver(t, cb, 3, func() { ca.Send(2, types.SyncRequestMsg{From: 3}) })
 }
 
 // TestConditionedCrashSilencesBothDirections: a crashed node neither
@@ -92,17 +92,17 @@ func TestConditionedPartitionMatchesSwitchSemantics(t *testing.T) {
 func TestConditionedCrashSilencesBothDirections(t *testing.T) {
 	ca, cb, cond := newConditionedPair(t)
 
-	deliver(t, cb, 1, func() { ca.Send(2, types.QueryMsg{Height: 1}) })
+	deliver(t, cb, 1, func() { ca.Send(2, types.SyncRequestMsg{From: 1}) })
 
 	cond.Crash(2)
 	// Inbound to the crashed node dies at its receive filter.
-	mustStaySilent(t, cb, 2, func() { ca.Send(2, types.QueryMsg{Height: 2}) })
+	mustStaySilent(t, cb, 2, func() { ca.Send(2, types.SyncRequestMsg{From: 2}) })
 	// Outbound from the crashed node dies at its send judge.
-	mustStaySilent(t, ca, 2, func() { cb.Send(1, types.QueryMsg{Height: 2}) })
+	mustStaySilent(t, ca, 2, func() { cb.Send(1, types.SyncRequestMsg{From: 2}) })
 
 	cond.Restart(2)
-	deliver(t, cb, 3, func() { ca.Send(2, types.QueryMsg{Height: 3}) })
-	deliver(t, ca, 4, func() { cb.Send(1, types.QueryMsg{Height: 4}) })
+	deliver(t, cb, 3, func() { ca.Send(2, types.SyncRequestMsg{From: 3}) })
+	deliver(t, ca, 4, func() { cb.Send(1, types.SyncRequestMsg{From: 4}) })
 }
 
 // TestConditionedDelayApplies: a per-node extra delay must hold
@@ -112,15 +112,15 @@ func TestConditionedDelayApplies(t *testing.T) {
 	ca, cb, cond := newConditionedPair(t)
 
 	// Warm the connection so dial time does not pollute the sample.
-	deliver(t, cb, 1, func() { ca.Send(2, types.QueryMsg{Height: 1}) })
+	deliver(t, cb, 1, func() { ca.Send(2, types.SyncRequestMsg{From: 1}) })
 
 	cond.SetNodeDelay(1, 80*time.Millisecond, 0)
 	start := time.Now()
-	ca.Send(2, types.QueryMsg{Height: 2})
+	ca.Send(2, types.SyncRequestMsg{From: 2})
 	select {
 	case env := <-cb.Inbox():
 		elapsed := time.Since(start)
-		if q, isQ := env.Msg.(types.QueryMsg); !isQ || q.Height != 2 {
+		if q, isQ := env.Msg.(types.SyncRequestMsg); !isQ || q.From != 2 {
 			t.Fatalf("unexpected message %+v", env.Msg)
 		}
 		if elapsed < 60*time.Millisecond {
@@ -132,7 +132,7 @@ func TestConditionedDelayApplies(t *testing.T) {
 
 	// Broadcast goes through the same judge.
 	cond.SetNodeDelay(1, 0, 0)
-	deliver(t, cb, 5, func() { ca.Broadcast(types.QueryMsg{Height: 5}) })
+	deliver(t, cb, 5, func() { ca.Broadcast(types.SyncRequestMsg{From: 5}) })
 }
 
 // TestConditionedDeliversInDeadlineOrder: delayed sends leave the shim
@@ -140,19 +140,19 @@ func TestConditionedDelayApplies(t *testing.T) {
 // overtaken by a fast one scheduled after it.
 func TestConditionedDeliversInDeadlineOrder(t *testing.T) {
 	ca, cb, cond := newConditionedPair(t)
-	deliver(t, cb, 1, func() { ca.Send(2, types.QueryMsg{Height: 1}) })
+	deliver(t, cb, 1, func() { ca.Send(2, types.SyncRequestMsg{From: 1}) })
 
 	cond.SetNodeDelay(1, 120*time.Millisecond, 0)
-	ca.Send(2, types.QueryMsg{Height: 2})
+	ca.Send(2, types.SyncRequestMsg{From: 2})
 	cond.SetNodeDelay(1, 10*time.Millisecond, 0)
-	ca.Send(2, types.QueryMsg{Height: 3})
+	ca.Send(2, types.SyncRequestMsg{From: 3})
 	var order []uint64
 	timeout := time.After(5 * time.Second)
 	for len(order) < 2 {
 		select {
 		case env := <-cb.Inbox():
-			if q, ok := env.Msg.(types.QueryMsg); ok && q.Height > 1 {
-				order = append(order, q.Height)
+			if q, ok := env.Msg.(types.SyncRequestMsg); ok && q.From > 1 {
+				order = append(order, q.From)
 			}
 		case <-timeout:
 			t.Fatalf("received %v, want both delayed messages", order)
@@ -168,11 +168,11 @@ func TestConditionedDeliversInDeadlineOrder(t *testing.T) {
 // drop is the sender shim's, at the deadline — not the receive filter's.
 func TestConditionedDropsAtDeliveryWhenCrashed(t *testing.T) {
 	ca, cb, cond := newConditionedPair(t)
-	deliver(t, cb, 1, func() { ca.Send(2, types.QueryMsg{Height: 1}) })
+	deliver(t, cb, 1, func() { ca.Send(2, types.SyncRequestMsg{From: 1}) })
 
 	cond.SetNodeDelay(1, 60*time.Millisecond, 0)
 	before := ca.dropped.Load()
-	ca.Send(2, types.QueryMsg{Height: 2})
+	ca.Send(2, types.SyncRequestMsg{From: 2})
 	cond.Crash(2)
 	time.Sleep(150 * time.Millisecond)
 	if got := ca.dropped.Load() - before; got != 1 {
@@ -193,7 +193,7 @@ func TestConditionedCloseStopsScheduler(t *testing.T) {
 	ca, cb, cond := newConditionedPair(t)
 	cond.SetNodeDelay(1, time.Hour, 0)
 	for i := 0; i < 100; i++ {
-		ca.Send(2, types.QueryMsg{Height: uint64(i)})
+		ca.Send(2, types.SyncRequestMsg{From: uint64(i)})
 	}
 	_ = ca.Close()
 	_ = cb.Close()

@@ -16,9 +16,10 @@ import (
 // that rejoins after a crash.
 //
 // Apply order within one spec: Heal first (so "heal then re-partition"
-// fits a single spec), then partitions, per-node delays, drop rate,
-// fluctuation window (anchored at apply time), and finally
-// condition-level crash/restart marks.
+// fits a single spec), then partitions, per-node delays, drop rate, and
+// finally the fluctuation window (anchored at apply time). Crashes are
+// not conditions: every backend crashes a replica through its fault
+// target.
 type ConditionsSpec struct {
 	// Heal removes every partition before the rest of the spec
 	// applies.
@@ -35,13 +36,6 @@ type ConditionsSpec struct {
 	// Fluctuate, when non-nil, opens a Uniform(min, max) delay window
 	// of the given duration starting when the spec is applied.
 	Fluctuate *FluctuateSpec `json:"fluctuate,omitempty"`
-	// Crash marks replicas silent in the condition model (they
-	// neither send nor receive); Restart lifts the mark. A fleet
-	// deployment expresses crash faults as real process kills
-	// instead, but the condition-level mark remains available for
-	// silencing a replica without losing its state.
-	Crash   []types.NodeID `json:"crash,omitempty"`
-	Restart []types.NodeID `json:"restart,omitempty"`
 }
 
 // NodeDelaySpec is one replica's extra send delay.
@@ -88,8 +82,7 @@ func (s *ConditionsSpec) Validate() error {
 // Empty reports whether the spec declares no change at all.
 func (s *ConditionsSpec) Empty() bool {
 	return !s.Heal && s.Partition == nil && len(s.Delays) == 0 &&
-		s.DropRate == nil && s.Fluctuate == nil &&
-		len(s.Crash) == 0 && len(s.Restart) == 0
+		s.DropRate == nil && s.Fluctuate == nil
 }
 
 // Apply compiles the spec onto the condition model at time now (the
@@ -109,12 +102,6 @@ func (s *ConditionsSpec) Apply(c *Conditions, now time.Time) {
 	}
 	if f := s.Fluctuate; f != nil {
 		c.Fluctuate(now, f.Dur, f.Min, f.Max)
-	}
-	for _, id := range s.Crash {
-		c.Crash(id)
-	}
-	for _, id := range s.Restart {
-		c.Restart(id)
 	}
 }
 
@@ -154,32 +141,6 @@ func (s *ConditionsSpec) Merge(next ConditionsSpec) {
 			s.DropRate = nil
 		} else {
 			s.DropRate = &rate
-		}
-	}
-	crashed := make(map[types.NodeID]bool, len(s.Crash))
-	for _, id := range s.Crash {
-		crashed[id] = true
-	}
-	for _, id := range next.Crash {
-		crashed[id] = true
-	}
-	for _, id := range next.Restart {
-		delete(crashed, id)
-	}
-	s.Crash = s.Crash[:0:0]
-	for id := range crashed {
-		s.Crash = append(s.Crash, id)
-	}
-	sortNodeIDs(s.Crash)
-	s.Restart = nil
-}
-
-// sortNodeIDs keeps accumulated ID lists deterministic across merges
-// (map iteration order would otherwise leak into serialized specs).
-func sortNodeIDs(ids []types.NodeID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j-1] > ids[j]; j-- {
-			ids[j-1], ids[j] = ids[j], ids[j-1]
 		}
 	}
 }

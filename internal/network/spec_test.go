@@ -18,7 +18,6 @@ func TestSpecApplyMatchesDirectCalls(t *testing.T) {
 	spec := ConditionsSpec{
 		Partition: map[types.NodeID]int{1: 1},
 		Delays:    []NodeDelaySpec{{Node: 2, Mean: 5 * time.Millisecond}},
-		Crash:     []types.NodeID{3},
 	}
 	if err := spec.Validate(); err != nil {
 		t.Fatal(err)
@@ -32,15 +31,11 @@ func TestSpecApplyMatchesDirectCalls(t *testing.T) {
 	if v := cond.judge(2, 4, 0, now); v.drop || v.delay < 5*time.Millisecond {
 		t.Fatalf("node 2 should send with extra delay, got %+v", v)
 	}
-	if !cond.IsCrashed(3) {
-		t.Fatal("crash mark not applied")
-	}
 
-	// Heal + restart + clearing the delay restores full connectivity.
+	// Heal + clearing the delay restores full connectivity.
 	heal := ConditionsSpec{
-		Heal:    true,
-		Delays:  []NodeDelaySpec{{Node: 2}},
-		Restart: []types.NodeID{3},
+		Heal:   true,
+		Delays: []NodeDelaySpec{{Node: 2}},
 	}
 	heal.Apply(cond, time.Now())
 	if v := cond.judge(1, 2, 0, time.Now()); v.drop {
@@ -48,9 +43,6 @@ func TestSpecApplyMatchesDirectCalls(t *testing.T) {
 	}
 	if v := cond.judge(2, 4, 0, time.Now()); v.delay != 0 {
 		t.Fatalf("delay not cleared: %+v", v)
-	}
-	if cond.IsCrashed(3) {
-		t.Fatal("restart did not lift the crash mark")
 	}
 }
 
@@ -88,7 +80,6 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 		Delays:    []NodeDelaySpec{{Node: 3, Mean: time.Millisecond, Std: 100 * time.Microsecond}},
 		DropRate:  rate(0.1),
 		Fluctuate: &FluctuateSpec{Dur: time.Second, Min: time.Millisecond, Max: 5 * time.Millisecond},
-		Crash:     []types.NodeID{4},
 	}
 	data, err := json.Marshal(in)
 	if err != nil {
@@ -100,7 +91,7 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 	}
 	if out.Partition[1] != 1 || out.Partition[2] != 2 || len(out.Delays) != 1 ||
 		out.Delays[0] != in.Delays[0] || *out.DropRate != 0.1 ||
-		*out.Fluctuate != *in.Fluctuate || len(out.Crash) != 1 || out.Crash[0] != 4 {
+		*out.Fluctuate != *in.Fluctuate {
 		t.Fatalf("round trip mangled the spec: %+v", out)
 	}
 }
@@ -113,16 +104,14 @@ func TestSpecMergeAccumulatesSteadyState(t *testing.T) {
 	acc.Merge(ConditionsSpec{Partition: map[types.NodeID]int{1: 1}})
 	acc.Merge(ConditionsSpec{DropRate: rate(0.2)})
 	acc.Merge(ConditionsSpec{Delays: []NodeDelaySpec{{Node: 2, Mean: time.Millisecond}}})
-	acc.Merge(ConditionsSpec{Crash: []types.NodeID{3}})
 
-	if acc.Partition[1] != 1 || *acc.DropRate != 0.2 ||
-		len(acc.Delays) != 1 || len(acc.Crash) != 1 {
+	if acc.Partition[1] != 1 || *acc.DropRate != 0.2 || len(acc.Delays) != 1 {
 		t.Fatalf("accumulated state wrong: %+v", acc)
 	}
 
-	// Heal wipes the partition; restart lifts the crash; zero delay
-	// clears the node's entry; zero rate clears the drop.
-	acc.Merge(ConditionsSpec{Heal: true, Restart: []types.NodeID{3}})
+	// Heal wipes the partition; zero delay clears the node's entry;
+	// zero rate clears the drop.
+	acc.Merge(ConditionsSpec{Heal: true})
 	acc.Merge(ConditionsSpec{Delays: []NodeDelaySpec{{Node: 2}}, DropRate: rate(0)})
 	if !acc.Empty() {
 		t.Fatalf("steady state should be empty after undoing everything: %+v", acc)

@@ -32,11 +32,11 @@ func newTCPPair(t *testing.T) (*TCP, *TCP) {
 	return a, b
 }
 
-// recvQuery waits for one QueryMsg with the wanted height, resending
+// recvSync waits for one SyncRequestMsg numbered want, resending
 // via send until it arrives — TCP sends are datagrams here (a send
 // racing a dead connection is dropped), so tests must offer the
 // message until the transport has reconnected.
-func recvQuery(t *testing.T, tr *TCP, want uint64, send func()) Envelope {
+func recvSync(t *testing.T, tr *TCP, want uint64, send func()) Envelope {
 	t.Helper()
 	deadline := time.After(5 * time.Second)
 	tick := time.NewTicker(20 * time.Millisecond)
@@ -48,7 +48,7 @@ func recvQuery(t *testing.T, tr *TCP, want uint64, send func()) Envelope {
 			if !ok {
 				t.Fatal("inbox closed while waiting")
 			}
-			if q, isQ := env.Msg.(types.QueryMsg); isQ && q.Height == want {
+			if q, isQ := env.Msg.(types.SyncRequestMsg); isQ && q.From == want {
 				return env
 			}
 		case <-tick.C:
@@ -106,7 +106,7 @@ func TestTCPReconnectAfterPeerRestart(t *testing.T) {
 	a, b := newTCPPair(t)
 	defer func() { _ = a.Close() }()
 
-	recvQuery(t, b, 1, func() { a.Send(2, types.QueryMsg{Height: 1}) })
+	recvSync(t, b, 1, func() { a.Send(2, types.SyncRequestMsg{From: 1}) })
 
 	// Kill B and bring it back on the same address.
 	addr := b.Addr()
@@ -120,7 +120,7 @@ func TestTCPReconnectAfterPeerRestart(t *testing.T) {
 	defer func() { _ = b2.Close() }()
 	b2.SetPeerAddr(1, a.Addr())
 
-	recvQuery(t, b2, 2, func() { a.Send(2, types.QueryMsg{Height: 2}) })
+	recvSync(t, b2, 2, func() { a.Send(2, types.SyncRequestMsg{From: 2}) })
 	if s := a.Stats(); s.Redials == 0 {
 		t.Fatalf("restart must show up as a redial, stats %+v", s)
 	}
@@ -134,13 +134,13 @@ func TestTCPResetPeerConnsReconnects(t *testing.T) {
 	defer func() { _ = a.Close() }()
 	defer func() { _ = b.Close() }()
 
-	recvQuery(t, b, 1, func() { a.Send(2, types.QueryMsg{Height: 1}) })
-	recvQuery(t, a, 2, func() { b.Send(1, types.QueryMsg{Height: 2}) })
+	recvSync(t, b, 1, func() { a.Send(2, types.SyncRequestMsg{From: 1}) })
+	recvSync(t, a, 2, func() { b.Send(1, types.SyncRequestMsg{From: 2}) })
 
 	b.ResetPeerConns()
 
-	recvQuery(t, b, 3, func() { a.Send(2, types.QueryMsg{Height: 3}) })
-	recvQuery(t, a, 4, func() { b.Send(1, types.QueryMsg{Height: 4}) })
+	recvSync(t, b, 3, func() { a.Send(2, types.SyncRequestMsg{From: 3}) })
+	recvSync(t, a, 4, func() { b.Send(1, types.SyncRequestMsg{From: 4}) })
 	redials := a.Stats().Redials + b.Stats().Redials
 	if redials == 0 {
 		t.Fatal("reset must force at least one redial")
@@ -162,9 +162,9 @@ func TestTCPConcurrentCloseSendRace(t *testing.T) {
 			<-start
 			for i := 0; i < 500; i++ {
 				if g%2 == 0 {
-					a.Send(2, types.QueryMsg{Height: uint64(i)})
+					a.Send(2, types.SyncRequestMsg{From: uint64(i)})
 				} else {
-					a.Broadcast(types.QueryMsg{Height: uint64(i)})
+					a.Broadcast(types.SyncRequestMsg{From: uint64(i)})
 				}
 			}
 		}(g)
@@ -197,7 +197,7 @@ func TestTCPOversizedMessageDropped(t *testing.T) {
 	defer func() { _ = a.Close() }()
 	defer func() { _ = b.Close() }()
 
-	recvQuery(t, b, 1, func() { a.Send(2, types.QueryMsg{Height: 1}) })
+	recvSync(t, b, 1, func() { a.Send(2, types.SyncRequestMsg{From: 1}) })
 	dropsBefore := a.Stats().Dropped
 
 	huge := types.RequestMsg{Tx: types.Transaction{
@@ -206,7 +206,7 @@ func TestTCPOversizedMessageDropped(t *testing.T) {
 	}}
 	a.Send(2, huge)
 
-	recvQuery(t, b, 2, func() { a.Send(2, types.QueryMsg{Height: 2}) })
+	recvSync(t, b, 2, func() { a.Send(2, types.SyncRequestMsg{From: 2}) })
 	drainDeadline := time.After(100 * time.Millisecond)
 	for {
 		select {
@@ -233,10 +233,11 @@ func TestTCPOversizedMessageDropped(t *testing.T) {
 }
 
 // TestTCPMalformedFrameDropsMessageNotConn: hostile bytes on an
-// inbound connection cost one frame, counted in TransportStats — a
-// healthy frame on the SAME connection still delivers. This is the
+// inbound connection cost one frame each, counted in TransportStats —
+// a healthy frame on the SAME connection still delivers. This is the
 // receive-side half of the drop-a-message-not-the-connection
-// guarantee (the gob design had to discard the conn).
+// guarantee. Frames a version-1 peer would send (a retired tag, the
+// old version byte) count as hostile bytes.
 func TestTCPMalformedFrameDropsMessageNotConn(t *testing.T) {
 	b, err := NewTCP(2, map[types.NodeID]string{2: "127.0.0.1:0"})
 	if err != nil {
@@ -250,17 +251,37 @@ func TestTCPMalformedFrameDropsMessageNotConn(t *testing.T) {
 	}
 	defer func() { _ = conn.Close() }()
 
-	// Frame 1: well-framed garbage (unknown tag). Frame 2: truncated
-	// vote body. Frame 3: a healthy query — same connection.
+	frame := func(version byte, tag types.WireTag, body []byte) []byte {
+		f := binary.LittleEndian.AppendUint32(nil, uint32(6+len(body)))
+		f = append(f, version, byte(tag), 1, 0, 0, 0)
+		return append(f, body...)
+	}
 	var raw bytes.Buffer
-	junk := []byte{types.WireVersion, 0xEE, 1, 0, 0, 0, 42}
-	raw.Write(binary.LittleEndian.AppendUint32(nil, uint32(len(junk))))
-	raw.Write(junk)
-	bad := []byte{types.WireVersion, byte(types.TagVote), 1, 0, 0, 0, 1, 9}
-	raw.Write(binary.LittleEndian.AppendUint32(nil, uint32(len(bad))))
-	raw.Write(bad)
 	enc := codec.NewEncoder(&raw)
-	if _, err := enc.Encode(codec.Envelope{From: 1, Msg: types.QueryMsg{Height: 77}}); err != nil {
+	if _, err := enc.Encode(codec.Envelope{From: 1, Msg: types.ProposalMsg{Block: &types.Block{View: 3}}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	// A version-1 proposal: the current body plus the payload-ID count
+	// that version 2 dropped.
+	v1Proposal := frame(1, types.TagProposal, append(raw.Bytes()[10:], 0, 0, 0, 0))
+	raw.Reset()
+	hostile := [][]byte{
+		frame(types.WireVersion, 0xEE, []byte{42}),            // unknown tag
+		frame(types.WireVersion, types.TagVote, []byte{1, 9}), // truncated vote body
+		frame(types.WireVersion, 12, make([]byte, 4)),         // retired PayloadBatch
+		frame(types.WireVersion, 14, make([]byte, 8)),         // retired Query
+		frame(types.WireVersion, 15, make([]byte, 48)),        // retired QueryReply
+		frame(types.WireVersion, 16, make([]byte, 16)),        // retired Slow
+		v1Proposal,
+	}
+	for _, f := range hostile {
+		raw.Write(f)
+	}
+	// Then a healthy frame on the same connection.
+	if _, err := enc.Encode(codec.Envelope{From: 1, Msg: types.SyncRequestMsg{From: 77}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := enc.Flush(); err != nil {
@@ -272,15 +293,19 @@ func TestTCPMalformedFrameDropsMessageNotConn(t *testing.T) {
 
 	select {
 	case env := <-b.Inbox():
-		q, ok := env.Msg.(types.QueryMsg)
-		if !ok || q.Height != 77 || env.From != 1 {
+		q, ok := env.Msg.(types.SyncRequestMsg)
+		if !ok || q.From != 77 || env.From != 1 {
 			t.Fatalf("healthy frame mangled: %+v", env)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("healthy frame after malformed frames never delivered")
 	}
-	if drops := b.Stats().Dropped; drops != 2 {
-		t.Fatalf("want 2 dropped frames counted, got %d", drops)
+	stats := b.Stats()
+	if stats.Dropped != uint64(len(hostile)) {
+		t.Fatalf("want %d dropped frames counted, got %d", len(hostile), stats.Dropped)
+	}
+	if stats.Accepted != 1 || stats.Redials != 0 {
+		t.Fatalf("hostile frames cost the connection: %d accepted, %d redials", stats.Accepted, stats.Redials)
 	}
 }
 
@@ -294,7 +319,7 @@ func TestTCPWriteCoalescing(t *testing.T) {
 	defer func() { _ = b.Close() }()
 
 	// Establish the connection first so the burst rides one stream.
-	recvQuery(t, b, 1, func() { a.Send(2, types.QueryMsg{Height: 1}) })
+	recvSync(t, b, 1, func() { a.Send(2, types.SyncRequestMsg{From: 1}) })
 	base := a.Stats()
 
 	const burst = 200
@@ -346,9 +371,9 @@ func TestTCPCloseReleasesGoroutines(t *testing.T) {
 	t.Cleanup(func() { assertNoLeaks(t) })
 
 	for i := 0; i < 50; i++ {
-		a.Send(2, types.QueryMsg{Height: uint64(i)})
-		a.Send(3, types.QueryMsg{Height: uint64(i)})
-		b.Send(1, types.QueryMsg{Height: uint64(i)})
+		a.Send(2, types.SyncRequestMsg{From: uint64(i)})
+		a.Send(3, types.SyncRequestMsg{From: uint64(i)})
+		b.Send(1, types.SyncRequestMsg{From: uint64(i)})
 	}
 	if err := a.Close(); err != nil {
 		t.Logf("close: %v", err)

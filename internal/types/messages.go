@@ -11,11 +11,6 @@ type ProposalMsg struct {
 	// TC, if non-nil, justifies proposing after a view change: it
 	// proves a quorum abandoned the previous view.
 	TC *TC
-	// PayloadIDs is a reserved wire field for a digest-form proposal
-	// (payload stripped, transaction IDs listed). The engine never
-	// sends one and judges a received proposal by its Block alone, so
-	// a stripped block is rejected whatever IDs ride along.
-	PayloadIDs []TxID
 }
 
 // VoteMsg carries a vote, routed either to the next leader (HotStuff
@@ -38,13 +33,6 @@ type TCMsg struct {
 // RequestMsg submits a transaction from a client to a replica.
 type RequestMsg struct {
 	Tx Transaction
-}
-
-// PayloadBatchMsg carries a batch of client transactions between
-// replica mempools. It keeps its place in the wire registry, but the
-// engine neither sends it nor acts on one it receives.
-type PayloadBatchMsg struct {
-	Txs []Transaction
 }
 
 // ReplyMsg confirms to a client that its transaction committed, or —
@@ -128,28 +116,4 @@ type SnapshotChunkMsg struct {
 	Height uint64
 	Chunk  uint32
 	Data   []byte
-}
-
-// QueryMsg asks a replica for local state (committed height, metrics);
-// used by the HTTP API and the benchmarker.
-type QueryMsg struct {
-	// Height, if non-zero, requests the committed block hash at
-	// that height for cross-replica consistency checks.
-	Height uint64
-}
-
-// QueryReplyMsg answers a QueryMsg.
-type QueryReplyMsg struct {
-	CommittedHeight uint64
-	CommittedView   View
-	BlockHash       Hash
-}
-
-// SlowMsg adjusts a replica's artificial message delay at run time
-// (the paper's "slow" command used to simulate network fluctuation).
-type SlowMsg struct {
-	// DelayMeanNanos and DelayStdNanos set the extra outbound
-	// delay distribution; zero clears it.
-	DelayMeanNanos int64
-	DelayStdNanos  int64
 }

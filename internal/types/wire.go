@@ -1,8 +1,8 @@
 package types
 
 // Wire-format registry: the stable numbering that lets a hand-rolled
-// binary codec identify message types without gob's per-connection
-// type dictionaries. The byte-level encoding lives in internal/codec;
+// binary codec identify message types without per-connection type
+// dictionaries. The byte-level encoding lives in internal/codec;
 // this file owns only the identity rules, because they must outlive
 // any single codec implementation:
 //
@@ -18,14 +18,18 @@ package types
 //     frames carrying a version it does not speak.
 
 // WireVersion is the current frame format version, carried in every
-// frame header.
-const WireVersion = 1
+// frame header. Version 2 dropped ProposalMsg's payload-ID list.
+const WireVersion = 2
 
 // WireTag identifies a message type on the wire. The zero value is
 // invalid, so an all-zero frame never parses as a real message.
 type WireTag uint8
 
-// The stable tag assignments. Append only; never renumber.
+// The stable tag assignments. Append only; never renumber. Tags 12
+// (PayloadBatch), 14 (Query), 15 (QueryReply) and 16 (Slow) belong to
+// retired messages no replica sent: they stay reserved, a frame
+// carrying one decodes as an unknown tag, and the next new message
+// takes 17.
 const (
 	TagInvalid          WireTag = 0
 	TagProposal         WireTag = 1
@@ -39,11 +43,7 @@ const (
 	TagSnapshotManifest WireTag = 9
 	TagSnapshotChunk    WireTag = 10
 	TagRequest          WireTag = 11
-	TagPayloadBatch     WireTag = 12
 	TagReply            WireTag = 13
-	TagQuery            WireTag = 14
-	TagQueryReply       WireTag = 15
-	TagSlow             WireTag = 16
 )
 
 // WireTagOf returns the stable tag for a registered wire message, or
@@ -73,16 +73,8 @@ func WireTagOf(msg any) (WireTag, bool) {
 		return TagSnapshotChunk, true
 	case RequestMsg:
 		return TagRequest, true
-	case PayloadBatchMsg:
-		return TagPayloadBatch, true
 	case ReplyMsg:
 		return TagReply, true
-	case QueryMsg:
-		return TagQuery, true
-	case QueryReplyMsg:
-		return TagQueryReply, true
-	case SlowMsg:
-		return TagSlow, true
 	}
 	return TagInvalid, false
 }
