@@ -57,11 +57,7 @@ func run() error {
 		id         = flag.Uint("id", 0, "this replica's node ID (key into the address map)")
 		httpAddr   = flag.String("http", "", "address for the RESTful client API (empty disables)")
 		ledgerPath = flag.String("ledger", "",
-			"ledger file for the committed chain (default bamboo-replica-<id>.ledger; \"none\" disables persistence and with it deep catch-up serving and restart replay). A restarted replica rejoining the SAME chain reuses its file: on startup it replays snapshot + ledger into forest and state machine before joining, then state-syncs only the tail it missed while down. A fresh deployment needs a fresh path (blocks from another chain are never served, but they occupy the file)")
-		snapPath = flag.String("snapshots", "",
-			"snapshot file for periodic state snapshots (default <ledger>.snap; only used with a ledger). Snapshots are taken every snapshotInterval committed heights per the configuration, compact the ledger prefix they cover, serve O(state) catch-up to deeply lagging peers, and seed restart replay")
-		walPath = flag.String("wal", "",
-			"safety WAL file (default <ledger>.wal; only used with a ledger). Records last-voted view, lock, highQC, and current view, fsync'd before any vote or timeout leaves the node, so a SIGKILLed replica can never vote twice in one view after restart — and restart replay re-commits the full ledger with no holdback")
+			"ledger file for the committed chain (default bamboo-replica-<id>.ledger; \"none\" disables persistence and with it deep catch-up serving and restart replay). Beside it live <ledger>.snap, the latest state snapshot (taken every snapshotInterval committed heights per the configuration; it compacts the ledger prefix it covers and serves O(state) catch-up), and <ledger>.wal, the safety WAL (last-voted view, lock, highQC and current view, fsync'd before any vote or timeout leaves the node, so a SIGKILLed replica can never vote twice in one view). A restarted replica rejoining the SAME chain reuses the three files: on startup it replays snapshot + ledger into forest and state machine before joining, then state-syncs only the tail it missed while down. A fresh deployment needs a fresh path (blocks from another chain are never served, but they occupy the file)")
 		traceSpans = flag.Int("trace-spans", 0,
 			"block-lifecycle trace ring capacity in spans (0 = default 4096). The tracer is always on; this bounds how much history GET /debug/trace exports. The event ring scales 4x this")
 	)
@@ -142,11 +138,7 @@ func run() error {
 			return err
 		}
 		defer func() { _ = led.Close() }()
-		sp := *snapPath
-		if sp == "" {
-			sp = path + ".snap"
-		}
-		snaps, err = snapshot.OpenStore(sp)
+		snaps, err = snapshot.OpenStore(path + ".snap")
 		if err != nil {
 			return err
 		}
@@ -156,11 +148,7 @@ func run() error {
 		// record does not is an equivocation waiting for a restart.
 		// It is a few hundred bytes per vote — the cheap end of the
 		// durability budget.
-		wp := *walPath
-		if wp == "" {
-			wp = path + ".wal"
-		}
-		safetyWAL, err = wal.Open(wp)
+		safetyWAL, err = wal.Open(path + ".wal")
 		if err != nil {
 			return err
 		}
@@ -172,7 +160,6 @@ func run() error {
 		Ledger:      led,
 		State:       store,
 		Snapshots:   snaps,
-		Bootstrap:   led != nil,
 		WAL:         safetyWAL,
 		TraceSpans:  *traceSpans,
 		TraceEvents: 4 * *traceSpans,

@@ -132,7 +132,7 @@ func (c *Client) Committed() uint64 { return c.committed.Load() }
 func (c *Client) Rejected() uint64 { return c.rejected.Load() }
 
 // Retries returns the number of resubmissions made after rejections —
-// the client-side cost of admission control under PolicyReject.
+// the client-side cost of the pool's admission control.
 func (c *Client) Retries() uint64 { return c.retries.Load() }
 
 // Shed returns the number of open-loop arrivals the pacer dropped

@@ -242,10 +242,6 @@ func New(cfg config.Config, opts Options) (*Cluster, error) {
 				}
 				nodeOpts.Snapshots = snaps
 			}
-			// Restart replay is on whenever persistence is: a fresh
-			// ledger makes it a no-op, a reused LedgerDir makes the
-			// replica rejoin at the height it went down at.
-			nodeOpts.Bootstrap = true
 		}
 		c.nodes[id] = core.NewNode(id, cfg, factory, ep, scheme, nodeOpts)
 	}

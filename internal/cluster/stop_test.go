@@ -56,7 +56,7 @@ func TestStopBeforeStart(t *testing.T) {
 		t.Fatalf("temporary ledger dir %s survives Stop (stat err %v)", dir, err)
 	}
 	for _, l := range ledgers {
-		if err := l.Append(&types.Block{View: 1}, 1); err == nil {
+		if err := l.AppendCertified(&types.Block{View: 1}, 1, nil); err == nil {
 			t.Fatal("a ledger is still open after Stop")
 		}
 	}

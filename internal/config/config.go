@@ -11,7 +11,6 @@ import (
 	"os"
 	"time"
 
-	"github.com/bamboo-bft/bamboo/internal/mempool"
 	"github.com/bamboo-bft/bamboo/internal/types"
 )
 
@@ -75,19 +74,6 @@ type Config struct {
 	// in practice runs use a capacity that comfortably exceeds the
 	// offered load, which the paper's artifact also does).
 	MemSize int `json:"memsize"`
-
-	// MemPolicy selects what a full mempool does with the next
-	// transaction: "" or "reject" (the default) turns it away — the
-	// client sees a typed rejection, HTTP submitters a 429 — while
-	// "queue" admits it into a bounded overflow band (MemQueue) so
-	// overload shows up as queueing delay first and rejection only
-	// once the band is exhausted too.
-	MemPolicy string `json:"memPolicy,omitempty"`
-
-	// MemQueue sizes the overflow band of MemPolicy "queue" in
-	// transactions; 0 picks 4×MemSize. Meaningless (and rejected)
-	// under the reject policy.
-	MemQueue int `json:"memQueue,omitempty"`
 
 	// PayloadSize is the per-transaction payload in bytes
 	// (Table I "psize"; default 0).
@@ -183,19 +169,6 @@ func Default() Config {
 	}
 }
 
-// MemQueueDepth returns the effective overflow band of the mempool:
-// zero under the reject policy, MemQueue (default 4×MemSize) under the
-// queue policy.
-func (c *Config) MemQueueDepth() int {
-	if c.MemPolicy != mempool.PolicyQueue {
-		return 0
-	}
-	if c.MemQueue > 0 {
-		return c.MemQueue
-	}
-	return 4 * c.MemSize
-}
-
 // KeepWindow returns the effective forest keep window: ForestKeep, or
 // the default of 16 when unset.
 func (c *Config) KeepWindow() int {
@@ -248,18 +221,6 @@ func (c *Config) Validate() error {
 	}
 	if c.MemSize < c.BlockSize {
 		return fmt.Errorf("config: memsize %d smaller than block size %d", c.MemSize, c.BlockSize)
-	}
-	switch c.MemPolicy {
-	case "", mempool.PolicyReject, mempool.PolicyQueue:
-	default:
-		return fmt.Errorf("config: unknown mempool policy %q (want %q or %q)",
-			c.MemPolicy, mempool.PolicyReject, mempool.PolicyQueue)
-	}
-	if c.MemQueue < 0 {
-		return errors.New("config: memQueue must be non-negative")
-	}
-	if c.MemQueue > 0 && c.MemPolicy != mempool.PolicyQueue {
-		return fmt.Errorf("config: memQueue %d without memPolicy %q", c.MemQueue, mempool.PolicyQueue)
 	}
 	if c.PayloadSize < 0 {
 		return errors.New("config: payload size must be non-negative")

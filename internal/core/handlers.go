@@ -35,7 +35,6 @@ func (n *Node) propose(view types.View, tc *types.TC) {
 		return
 	}
 	n.proposedInView = view
-	n.stampPayloadOwnership(block.Payload)
 	sig, err := n.scheme.Sign(n.id, types.SigningDigest(block.View, block.ID()))
 	if err != nil {
 		n.returnPayload(payload)
@@ -107,11 +106,6 @@ func (n *Node) returnPayload(payload []types.Transaction) {
 	}
 	n.pool.Requeue(payload)
 }
-
-// stampPayloadOwnership is a hook point: ownership was recorded at
-// request time; nothing to do today, but the indirection keeps the
-// propose path explicit about the reply contract.
-func (n *Node) stampPayloadOwnership([]types.Transaction) {}
 
 // onProposal handles a block proposal (or a fetched ancestor).
 // verified means the signatures need no check: this replica produced

@@ -51,12 +51,10 @@ func (n *Node) declareMetrics() {
 		return 0
 	})
 	r.Gauge("bamboo_pool_size", "Transactions currently pooled.", func() float64 { return float64(n.Status().Pool) })
-	r.Gauge("bamboo_pool_overflow", "Pooled transactions currently past the soft capacity.", func() float64 { return float64(n.Status().PoolQueued) })
 
 	// Mempool admission.
 	r.CounterFunc("bamboo_pool_admitted_total", "Transactions accepted by the admission policy.", func() uint64 { return n.PoolStats().Admitted })
 	r.CounterFunc("bamboo_pool_rejected_total", "Transactions turned away by the admission policy (overload signal).", func() uint64 { return n.PoolStats().Rejected })
-	r.CounterFunc("bamboo_pool_queued_total", "Admissions that landed in the overflow band past the soft capacity.", func() uint64 { return n.PoolStats().Queued })
 
 	// Pipeline: apply stage, state sync, snapshots, restart replay and
 	// the safety WAL.

@@ -50,9 +50,11 @@ type Options struct {
 	// or static when cfg.Master is set).
 	Elector election.Elector
 	// Ledger, if non-nil, receives every committed block — the
-	// persistent storage the paper's garbage-collection note assumes.
-	// Append errors are surfaced through OnViolation-style logging:
-	// the chain in memory remains authoritative.
+	// persistent storage the paper's garbage-collection note assumes —
+	// and Start replays it, over the latest snapshot, before the
+	// replica joins. Append errors are surfaced through
+	// OnViolation-style logging: the chain in memory remains
+	// authoritative.
 	Ledger *ledger.Ledger
 	// State, if non-nil, is the replica's snapshottable state machine
 	// (deterministic serialization + restore). It is what periodic
@@ -64,11 +66,6 @@ type Options struct {
 	// snapshot and serves manifests/chunks to catch-up requesters.
 	// Capture additionally requires Config.SnapshotInterval > 0.
 	Snapshots *snapshot.Store
-	// Bootstrap replays the replica's own snapshot + ledger into
-	// forest and state machine on Start, before the event loop runs —
-	// restart cost O(tail missed), not O(chain). A fresh ledger makes
-	// it a no-op.
-	Bootstrap bool
 	// WAL, if non-nil, is the replica's durable safety log: the event
 	// loop syncs {current view, last-voted view, preferred view,
 	// highQC, last timeout view} to it BEFORE any vote or timeout
@@ -94,10 +91,6 @@ type Status struct {
 	CommittedView   types.View
 	CommittedHash   types.Hash
 	Pool            int
-	// PoolQueued is how many of the pooled transactions currently sit
-	// past the soft capacity in the overflow band (non-zero only under
-	// the "queue" admission policy).
-	PoolQueued int
 	// PoolRejections counts client transactions the admission policy
 	// turned away over the replica's lifetime — the overload signal.
 	PoolRejections uint64
@@ -231,9 +224,6 @@ func NewNode(id types.NodeID, cfg config.Config, factory safety.Factory,
 		}
 	}
 	pool := mempool.New(cfg.MemSize)
-	if depth := cfg.MemQueueDepth(); depth > 0 {
-		pool.EnableOverflow(depth)
-	}
 	n := &Node{
 		id:         id,
 		cfg:        cfg,
@@ -312,7 +302,7 @@ func (n *Node) Status() Status {
 	n.statusMu.Lock()
 	defer n.statusMu.Unlock()
 	s := n.status
-	s.Pool, s.PoolQueued = n.pool.Occupancy()
+	s.Pool = n.pool.Len()
 	s.PoolRejections = n.pool.Stats().Rejected + n.lightRejections.Load()
 	return s
 }
@@ -370,13 +360,14 @@ func (n *Node) AddRejectListener(fn func(types.TxID)) {
 	n.rejectListeners = append(n.rejectListeners, fn)
 }
 
-// Start launches the event loop and the ordered apply stage. With
-// Bootstrap set, the replica first replays its own snapshot + ledger
-// into forest and state machine, so it rejoins at the height it went
-// down at. The first leader proposes once its view timer is armed; all
-// other replicas follow the QC chain.
+// Start launches the event loop and the ordered apply stage. With a
+// ledger, the replica first replays its own snapshot + ledger into
+// forest and state machine, so it rejoins at the height it went down
+// at — restart cost O(tail missed), not O(chain); a fresh ledger makes
+// that a no-op. The first leader proposes once its view timer is
+// armed; all other replicas follow the QC chain.
 func (n *Node) Start() {
-	if n.opts.Bootstrap {
+	if n.opts.Ledger != nil {
 		n.bootstrap()
 	}
 	n.restoreSafety()

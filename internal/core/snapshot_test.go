@@ -400,8 +400,8 @@ func TestSnapshotRejectsTamperedChunk(t *testing.T) {
 	}
 }
 
-// TestBootstrapReplaysOwnLedger: a node with Bootstrap set replays
-// its ledger into forest and state machine before joining — committed
+// TestBootstrapReplaysOwnLedger: a node with a ledger replays its
+// ledger into forest and state machine before joining — committed
 // height, execution, the replay counter, and the view all land at the
 // pre-crash position without a single network message.
 func TestBootstrapReplaysOwnLedger(t *testing.T) {
@@ -417,7 +417,6 @@ func TestBootstrapReplaysOwnLedger(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	fx.n.opts.Bootstrap = true
 	fx.n.bootstrap()
 
 	// The FULL ledger is re-committed, tip included: the safety WAL
@@ -475,7 +474,6 @@ func TestBootstrapFromSnapshotAndSuffix(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	fx.n.opts.Bootstrap = true
 	fx.n.bootstrap()
 
 	const wantCommitted = uint64(36)
@@ -513,7 +511,6 @@ func TestBootstrapNoopOnFreshDisk(t *testing.T) {
 	}
 	t.Cleanup(func() { _ = led.Close() })
 	fx := newSyncFixture(t, cfg, led)
-	fx.n.opts.Bootstrap = true
 	fx.n.bootstrap()
 	if h := fx.n.forest.CommittedHeight(); h != 0 {
 		t.Fatalf("fresh bootstrap committed height %d, want 0", h)

@@ -210,10 +210,6 @@ func (n *Node) bootstrap() {
 			}
 		}
 	}
-	if led == nil {
-		n.publishStatus()
-		return
-	}
 	if led.Base() > floor {
 		// The ledger's floor sits above what the snapshot restored (a
 		// missing or corrupt snapshot file under a compacted ledger):

@@ -72,7 +72,6 @@ type replica struct {
 	consAddr string
 	httpAddr string
 	ledger   string
-	snaps    string
 	logPath  string
 
 	mu       sync.Mutex
@@ -168,7 +167,6 @@ func New(cfg config.Config, opts Options) (*Fleet, error) {
 		}
 		if !opts.DisableLedger {
 			r.ledger = filepath.Join(f.dir, fmt.Sprintf("replica-%d.ledger", id))
-			r.snaps = filepath.Join(f.dir, fmt.Sprintf("replica-%d.snap", id))
 		}
 		f.replicas[id] = r
 	}
@@ -225,7 +223,7 @@ func (f *Fleet) spawn(r *replica) error {
 	if r.ledger == "" {
 		args = append(args, "-ledger", "none")
 	} else {
-		args = append(args, "-ledger", r.ledger, "-snapshots", r.snaps)
+		args = append(args, "-ledger", r.ledger)
 	}
 	cmd := exec.Command(f.bin, args...)
 	cmd.Stdout = r.logFile

@@ -88,32 +88,6 @@ func TestOpenLoopAdmissionControl(t *testing.T) {
 	}
 }
 
-// TestQueuePolicyAbsorbsBurst: the same overload under PolicyQueue
-// with a deep overflow band sees queued admissions instead of (or far
-// in excess of) rejections — the declared trade of queueing delay for
-// client-visible errors.
-func TestQueuePolicyAbsorbsBurst(t *testing.T) {
-	cfg := testConfig(config.ProtocolHotStuff)
-	cfg.MemSize = 50
-	cfg.Bandwidth = 200e3
-	cfg.MemPolicy = "queue"
-	cfg.MemQueue = 100000
-	res, err := Run(Experiment{
-		Config: cfg,
-		Measure: MeasurePlan{
-			Warmup: 200 * time.Millisecond,
-			Window: 600 * time.Millisecond,
-			Rate:   5000,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p := res.Points[0]; p.PoolRejections != 0 {
-		t.Fatalf("deep overflow band still rejected %d transactions", p.PoolRejections)
-	}
-}
-
 // TestClientsValidation covers the Clients section's input checks.
 func TestClientsValidation(t *testing.T) {
 	base := func() Experiment {

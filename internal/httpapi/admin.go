@@ -89,7 +89,6 @@ type ReplicaResult struct {
 	// server-side rejection deltas per measurement window.
 	PoolAdmitted uint64 `json:"poolAdmitted"`
 	PoolRejected uint64 `json:"poolRejected"`
-	PoolQueued   uint64 `json:"poolQueued"`
 }
 
 // ResultOf reads a replica's node-local result slice — the one record
@@ -108,7 +107,6 @@ func ResultOf(node *core.Node) ReplicaResult {
 		Pipeline:        node.Pipeline().Snapshot(),
 		PoolAdmitted:    ps.Admitted,
 		PoolRejected:    ps.Rejected,
-		PoolQueued:      ps.Queued,
 	}
 	if tr, ok := node.Transport().(interface{ Stats() network.TransportStats }); ok {
 		res.Transport = tr.Stats()

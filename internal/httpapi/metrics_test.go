@@ -125,10 +125,8 @@ var expositionFamilies = map[string]struct{ typ, labels string }{
 	"bamboo_snapshot_height":                {"gauge", ""},
 	"bamboo_syncing":                        {"gauge", ""},
 	"bamboo_pool_size":                      {"gauge", ""},
-	"bamboo_pool_overflow":                  {"gauge", ""},
 	"bamboo_pool_admitted_total":            {"counter", ""},
 	"bamboo_pool_rejected_total":            {"counter", ""},
-	"bamboo_pool_queued_total":              {"counter", ""},
 	"bamboo_blocks_applied_total":           {"counter", ""},
 	"bamboo_sync_requests_sent_total":       {"counter", ""},
 	"bamboo_sync_batches_served_total":      {"counter", ""},

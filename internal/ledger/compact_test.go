@@ -17,7 +17,7 @@ func newCompactedLedger(t *testing.T, path string, total int, floor uint64) *Led
 		t.Fatal(err)
 	}
 	for i, b := range chain {
-		if err := l.Append(b, uint64(i+1)); err != nil {
+		if err := l.AppendCertified(b, uint64(i+1), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -63,11 +63,11 @@ func TestCompactToSnapshotHeight(t *testing.T) {
 	}
 	// The height contract survives compaction: repeating the head is
 	// rejected, the next height is accepted.
-	if err := l.Append(got[len(got)-1], 20); err == nil {
+	if err := l.AppendCertified(got[len(got)-1], 20, nil); err == nil {
 		t.Fatal("re-append of existing height accepted")
 	}
 	next := buildChain(21)[20]
-	if err := l.Append(next, 21); err != nil {
+	if err := l.AppendCertified(next, 21, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -83,7 +83,7 @@ func TestReopenAfterCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, b := range chain[:20] {
-		if err := l.Append(b, uint64(i+1)); err != nil {
+		if err := l.AppendCertified(b, uint64(i+1), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -104,7 +104,7 @@ func TestReopenAfterCompaction(t *testing.T) {
 	}
 	// Appends resume exactly where the file ended.
 	for i, b := range chain[20:] {
-		if err := r.Append(b, uint64(21+i)); err != nil {
+		if err := r.AppendCertified(b, uint64(21+i), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -164,7 +164,7 @@ func TestResetTo(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, b := range chain {
-		if err := l.Append(b, uint64(i+1)); err != nil {
+		if err := l.AppendCertified(b, uint64(i+1), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -174,13 +174,13 @@ func TestResetTo(t *testing.T) {
 	if l.Base() != 40 || l.Height() != 40 {
 		t.Fatalf("after reset: base %d height %d, want 40/40", l.Base(), l.Height())
 	}
-	if err := l.Append(chain[0], 7); err == nil {
+	if err := l.AppendCertified(chain[0], 7, nil); err == nil {
 		t.Fatal("pre-reset height accepted after reset")
 	}
 	// The suffix above the install height appends normally (any
 	// blocks do — the ledger checks heights, not hashes, across a
 	// reset boundary).
-	if err := l.Append(chain[0], 41); err != nil {
+	if err := l.AppendCertified(chain[0], 41, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -200,15 +200,15 @@ func TestResetTo(t *testing.T) {
 	}
 }
 
-// TestCompactedReplayWalksSuffix: package-level Replay (and the
-// instance method) skip the marker and hand back exactly the retained
+// TestCompactedReplayWalksSuffix: package-level Replay (and
+// ReplayCertified) skip the marker and hand back exactly the retained
 // records with their recorded heights.
 func TestCompactedReplayWalksSuffix(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "chain.ledger")
 	l := newCompactedLedger(t, path, 15, 9)
 	defer func() { _ = l.Close() }()
 	var first, last, count uint64
-	err := l.Replay(func(_ *types.Block, h uint64) error {
+	err := l.ReplayCertified(func(_ *types.Block, h uint64, _ *types.QC) error {
 		if first == 0 {
 			first = h
 		}

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/bamboo-bft/bamboo/internal/disk"
 	"github.com/bamboo-bft/bamboo/internal/types"
 )
 
@@ -200,8 +201,12 @@ func TestTornTailAtEveryOffset(t *testing.T) {
 // fails Open and Replay with an error that says so.
 func TestUnknownVersionIsRefused(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "chain.ledger")
-	frame := markerFrame(5)
-	frame[1] = version + 1
+	frame, err := disk.AppendFrame(nil, 2+8, maxRecord, func(p []byte) []byte {
+		return binary.LittleEndian.AppendUint64(append(p, version+1, kindMarker), 5)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := os.WriteFile(path, frame, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -250,9 +255,9 @@ func FuzzLedgerRecord(f *testing.F) {
 			f.Fatal(err)
 		}
 		_, n := binary.Uvarint(frame)
-		f.Add(frame[n:])
+		f.Add(frame[n+4:]) // the body, past length and checksum
 	}
-	f.Add(markerFrame(9)[1:])
+	f.Add(markerFrame(9)[1+4:])
 	f.Add([]byte{version, kindBlock, 0xff, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, body []byte) {
 		rec, err := decodeRecord(body)

@@ -7,9 +7,10 @@
 // (ReadRange) that serves deep state-sync requests without replaying
 // the whole file.
 //
-// The file is a sequence of records, `uvarint body length | body`, one
-// per committed block in height order. A body starts with a
-// format-version byte and a kind byte, then:
+// The file is a sequence of records, one per committed block in height
+// order, each in the checksummed frame the safety WAL also uses
+// (internal/disk): `uvarint body length | crc32 of the body | body`. A
+// body starts with a format-version byte and a kind byte, then:
 //
 //	block record:  height (u64), block ID (32), block, certificate for
 //	               the block itself (SelfQC)
@@ -31,12 +32,13 @@
 // final record is the footprint of a crash mid-append, so replay stops
 // cleanly at the last intact record and Open truncates the damaged
 // tail before appending. A record that is structurally complete but
-// fails to decode, or a broken height/parent chain, is real corruption
-// and is reported as an error, as is a record whose version byte this
-// build does not know — there is no reader for older formats (no
-// ledger outlives the deployment that wrote it). A block read back is
-// served only if it hashes to the ID recorded beside it; the payload
-// commitment is re-derived from the stored payload for that check.
+// fails its checksum or its decode, or a broken height/parent chain,
+// is real corruption and is reported as an error, as is a record whose
+// version byte this build does not know — there is no reader for older
+// formats (no ledger outlives the deployment that wrote it). A block
+// read back is served only if it hashes to the ID recorded beside it;
+// the payload commitment is re-derived from the stored payload for
+// that check.
 package ledger
 
 import (
@@ -49,6 +51,7 @@ import (
 	"sync"
 
 	"github.com/bamboo-bft/bamboo/internal/codec"
+	"github.com/bamboo-bft/bamboo/internal/disk"
 	"github.com/bamboo-bft/bamboo/internal/types"
 )
 
@@ -63,7 +66,7 @@ var (
 )
 
 // version is the format-version byte every record body starts with.
-const version = 1
+const version = 2
 
 // errVersion marks a record written in a format this build does not
 // read, so the walks can report it as that and not as corruption.
@@ -71,8 +74,8 @@ var errVersion = errors.New("unsupported format version")
 
 // maxRecord bounds a record body: no block comes near it, so a larger
 // length prefix is corruption, and it keeps such a prefix from driving
-// a giant allocation. Append refuses to write a record this bound
-// would reject on the way back in.
+// a giant allocation. AppendCertified refuses to write a record this
+// bound would reject on the way back in.
 const maxRecord = 1 << 30
 
 // keepBuf is the encode-buffer capacity above which an append drops
@@ -114,21 +117,15 @@ type record struct {
 func appendBlockRecord(buf []byte, b *types.Block, height uint64, selfQC *types.QC) ([]byte, error) {
 	id := b.ID()
 	n := 2 + 8 + len(id) + codec.BlockSize(b) + codec.QCSize(selfQC)
-	if n > maxRecord {
-		return buf, fmt.Errorf("ledger: %d-byte record exceeds the %d-byte limit", n, maxRecord)
-	}
-	buf = binary.AppendUvarint(buf, uint64(n))
-	body := len(buf)
-	buf = append(buf, version, kindBlock)
-	buf = binary.LittleEndian.AppendUint64(buf, height)
-	buf = append(buf, id[:]...)
-	buf = codec.AppendBlock(buf, b)
-	buf = codec.AppendQC(buf, selfQC)
-	if len(buf)-body != n {
-		// The codec's size and append functions are tested to agree; a
-		// mismatch is a codec bug, and a mis-framed record would poison
-		// every later one.
-		return buf, fmt.Errorf("ledger: internal: record sized %d, encoded %d", n, len(buf)-body)
+	buf, err := disk.AppendFrame(buf, n, maxRecord, func(p []byte) []byte {
+		p = append(p, version, kindBlock)
+		p = binary.LittleEndian.AppendUint64(p, height)
+		p = append(p, id[:]...)
+		p = codec.AppendBlock(p, b)
+		return codec.AppendQC(p, selfQC)
+	})
+	if err != nil {
+		return buf, fmt.Errorf("ledger: record: %w", err)
 	}
 	return buf, nil
 }
@@ -136,8 +133,11 @@ func appendBlockRecord(buf []byte, b *types.Block, height uint64, selfQC *types.
 // markerFrame encodes a compaction marker for the given floor as one
 // framed record.
 func markerFrame(base uint64) []byte {
-	buf := []byte{2 + 8, version, kindMarker}
-	return binary.LittleEndian.AppendUint64(buf, base)
+	// Ten bytes, sized right, never past the limit: no error to handle.
+	buf, _ := disk.AppendFrame(nil, 2+8, maxRecord, func(p []byte) []byte {
+		return binary.LittleEndian.AppendUint64(append(p, version, kindMarker), base)
+	})
+	return buf
 }
 
 // decodeRecord parses one record body. It allocates no more than the
@@ -218,7 +218,7 @@ func OpenBuffered(path string) (*Ledger, error) {
 }
 
 func open(path string, buffered bool) (*Ledger, error) {
-	sc, err := scan(path)
+	sc, err := walk(path, nil)
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return nil, err
 	}
@@ -252,17 +252,13 @@ func (l *Ledger) resetWriter() {
 	}
 }
 
-// Append persists a committed block at the next height. Blocks must
-// arrive in commit order; a skipped or repeated height is rejected,
-// because the on-disk chain must mirror the committed chain exactly.
-func (l *Ledger) Append(b *types.Block, height uint64) error {
-	return l.AppendCertified(b, height, nil)
-}
-
-// AppendCertified is Append carrying a certificate for the appended
-// block itself (available on every commit path: the next committed
-// block's embedded certificate, or the forest's certification
-// record). It is what lets restart replay hand the rebooted replica a
+// AppendCertified persists a committed block at the next height with a
+// certificate for the block itself (available on every commit path:
+// the next committed block's embedded certificate, or the forest's
+// certification record; nil when there is none). Blocks must arrive in
+// commit order; a skipped or repeated height is rejected, because the
+// on-disk chain must mirror the committed chain exactly. The
+// certificate is what lets restart replay hand the rebooted replica a
 // certified chain tip to build on.
 func (l *Ledger) AppendCertified(b *types.Block, height uint64, selfQC *types.QC) error {
 	l.mu.Lock()
@@ -312,7 +308,7 @@ func (l *Ledger) Base() uint64 {
 // once a snapshot covers the prefix — deep catch-up for the dropped
 // heights is then served by snapshot transfer instead. Compacting at
 // or below the current floor is a no-op; compacting past the head is
-// rejected. The rewrite is atomic (write-then-rename), so a crash
+// rejected. The rewrite is an atomic, durable replace, so a crash
 // mid-compaction leaves the previous file intact.
 func (l *Ledger) CompactTo(to uint64) error {
 	l.mu.Lock()
@@ -329,41 +325,13 @@ func (l *Ledger) CompactTo(to uint64) error {
 	if err := l.flush(); err != nil {
 		return fmt.Errorf("ledger: flush: %w", err)
 	}
-	marker := markerFrame(to)
 	// Offset of the first retained record (height to+1), or end of
 	// file when everything is compacted away.
 	keepStart := l.size
 	if to < l.height {
 		keepStart = l.offsets[to-l.base]
 	}
-	tmp := l.path + ".compact"
-	out, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("ledger: compact: %w", err)
-	}
-	if _, err := out.Write(marker); err != nil {
-		_ = out.Close()
-		return fmt.Errorf("ledger: compact: %w", err)
-	}
-	src, err := os.Open(l.path)
-	if err != nil {
-		_ = out.Close()
-		return fmt.Errorf("ledger: compact: %w", err)
-	}
-	_, err = io.Copy(out, io.NewSectionReader(src, keepStart, l.size-keepStart))
-	_ = src.Close()
-	if err != nil {
-		_ = out.Close()
-		return fmt.Errorf("ledger: compact: %w", err)
-	}
-	if err := out.Sync(); err != nil {
-		_ = out.Close()
-		return fmt.Errorf("ledger: compact: %w", err)
-	}
-	if err := out.Close(); err != nil {
-		return fmt.Errorf("ledger: compact: %w", err)
-	}
-	return l.swapFile(tmp, to, keepStart, int64(len(marker)))
+	return l.rewrite("compact", to, keepStart)
 }
 
 // ResetTo discards the entire file and re-bases the ledger at the
@@ -377,27 +345,7 @@ func (l *Ledger) ResetTo(height uint64) error {
 	if l.closed {
 		return errors.New("ledger: closed")
 	}
-	marker := markerFrame(height)
-	tmp := l.path + ".compact"
-	// Sync before rename, like CompactTo: the caller just dropped (or
-	// is about to drop) the history this marker re-bases over, so the
-	// marker must not sit in the page cache when the old file is gone.
-	mf, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("ledger: reset: %w", err)
-	}
-	if _, err := mf.Write(marker); err != nil {
-		_ = mf.Close()
-		return fmt.Errorf("ledger: reset: %w", err)
-	}
-	if err := mf.Sync(); err != nil {
-		_ = mf.Close()
-		return fmt.Errorf("ledger: reset: %w", err)
-	}
-	if err := mf.Close(); err != nil {
-		return fmt.Errorf("ledger: reset: %w", err)
-	}
-	if err := l.swapFile(tmp, height, l.size, int64(len(marker))); err != nil {
+	if err := l.rewrite("reset", height, l.size); err != nil {
 		return err
 	}
 	// Unlike compaction, a reset may re-base BELOW the old head; the
@@ -407,23 +355,38 @@ func (l *Ledger) ResetTo(height uint64) error {
 	return nil
 }
 
-// swapFile renames tmp over the live file and rewires the append
-// handle and the height index: records formerly at file offset
-// keepStart onward now live right after a marker of markerLen bytes,
-// and heights at or below newBase are gone. Callers hold l.mu.
-func (l *Ledger) swapFile(tmp string, newBase uint64, keepStart, markerLen int64) error {
-	if err := os.Rename(tmp, l.path); err != nil {
-		return fmt.Errorf("ledger: swap: %w", err)
+// rewrite replaces the file with a marker for newBase followed by the
+// records from file offset keepStart onward, and rewires the append
+// handle and the height index. The replace is durable like a snapshot
+// save: the caller has dropped, or is about to drop, the history the
+// marker re-bases over, so the new file must not sit in the page cache
+// when the old one is gone. Callers hold l.mu, with every record from
+// keepStart onward flushed to the file.
+func (l *Ledger) rewrite(op string, newBase uint64, keepStart int64) error {
+	marker := markerFrame(newBase)
+	f, err := disk.Replace(l.path, true, func(w io.Writer) error {
+		if _, err := w.Write(marker); err != nil {
+			return err
+		}
+		src, err := os.Open(l.path)
+		if err != nil {
+			return err
+		}
+		defer func() { _ = src.Close() }() // read only
+		_, err = io.Copy(w, io.NewSectionReader(src, keepStart, l.size-keepStart))
+		return err
+	})
+	if f == nil {
+		return fmt.Errorf("ledger: %s: %w", op, err)
 	}
-	if err := l.f.Close(); err != nil {
-		return fmt.Errorf("ledger: swap: %w", err)
-	}
-	f, err := os.OpenFile(l.path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("ledger: swap: %w", err)
-	}
+	// The new file is in place even if err reports its directory sync:
+	// follow it, then report.
+	_ = l.f.Close() // flushed by the caller, and replaced either way
 	l.f = f
 	l.resetWriter()
+	// Records formerly at file offset keepStart onward now live right
+	// after the marker, and heights at or below newBase are gone.
+	markerLen := int64(len(marker))
 	var kept []int64
 	if keepStart < l.size && newBase >= l.base {
 		if drop := int(newBase - l.base); drop < len(l.offsets) {
@@ -439,6 +402,9 @@ func (l *Ledger) swapFile(tmp string, newBase uint64, keepStart, markerLen int64
 	l.gen++
 	if l.height < newBase {
 		l.height = newBase
+	}
+	if err != nil {
+		return fmt.Errorf("ledger: %s: %w", op, err)
 	}
 	return nil
 }
@@ -540,14 +506,18 @@ func (l *Ledger) readRange(from, to uint64) (_ []*types.Block, raced bool, _ err
 	if _, err := f.Seek(start, io.SeekStart); err != nil {
 		return nil, false, fmt.Errorf("ledger: seek: %w", err)
 	}
-	rr := recordReader{br: bufio.NewReader(f)}
+	fr := disk.NewReader(f, maxRecord)
 	out := make([]*types.Block, 0, to-from+1)
 	for h := from; h <= to; h++ {
-		rec, _, status, err := rr.next()
-		if status != frameOK {
-			if err == nil {
-				err = errors.New("unexpected end of file")
-			}
+		body, _, st, err := fr.Next()
+		if st != disk.OK && err == nil {
+			err = errors.New("unexpected end of file")
+		}
+		var rec record
+		if err == nil {
+			rec, err = decodeRecord(body)
+		}
+		if err != nil {
 			return nil, false, fmt.Errorf("ledger: read height %d: %w", h, err)
 		}
 		if rec.block == nil || rec.height != h {
@@ -583,72 +553,18 @@ func (rec *record) verify() error {
 // record (crash mid-append) ends the replay cleanly at the last
 // intact record; structural corruption is reported as an error.
 func Replay(path string, fn func(b *types.Block, height uint64) error) error {
-	return replay(path, func(b *types.Block, height uint64, _ *types.QC) error {
-		return fn(b, height)
-	})
+	_, err := walk(path, func(rec *record) error { return fn(rec.block, rec.height) })
+	return err
 }
 
-// replay is the walk behind Replay and ReplayCertified.
-func replay(path string, fn func(b *types.Block, height uint64, selfQC *types.QC) error) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer func() { _ = f.Close() }()
-	rr := recordReader{br: bufio.NewReader(f)}
-	var prevID types.Hash
-	var prevHeight uint64
-	first, sawMarker := true, false
-	for {
-		rec, _, status, err := rr.next()
-		if status == frameEnd || status == frameTruncated {
-			return nil
-		}
-		if err != nil {
-			return recordError(prevHeight, err)
-		}
-		if rec.block == nil {
-			// Exactly one marker, leading the file — the same
-			// structure scan enforces at Open.
-			if !first || sawMarker {
-				return fmt.Errorf("ledger: compaction marker after height %d", prevHeight)
-			}
-			sawMarker = true
-			prevHeight = rec.height
-			continue
-		}
-		if !first && rec.height != prevHeight+1 {
-			return fmt.Errorf("ledger: height gap: %d after %d", rec.height, prevHeight)
-		}
-		if first && prevHeight != 0 && rec.height != prevHeight+1 {
-			return fmt.Errorf("ledger: height gap: %d after floor %d", rec.height, prevHeight)
-		}
-		if !first && rec.block.Parent != prevID {
-			return fmt.Errorf("ledger: broken chain at height %d", rec.height)
-		}
-		if err := fn(rec.block, rec.height, rec.selfQC); err != nil {
-			return err
-		}
-		prevID, prevHeight, first = rec.id, rec.height, false
-	}
-}
-
-// Replay streams this ledger's retained records in commit order,
-// flushing buffered appends first so the walk sees every persisted
-// height. It reads through its own descriptor — the append position
-// is untouched.
-func (l *Ledger) Replay(fn func(b *types.Block, height uint64) error) error {
-	return l.ReplayCertified(func(b *types.Block, height uint64, _ *types.QC) error {
-		return fn(b, height)
-	})
-}
-
-// ReplayCertified is Replay handing back each record's own
-// certificate alongside the block (nil for records written before
-// SelfQC persistence). It is the restart-replay entry point: a
-// rebooted replica rebuilds forest and state machine from it before
-// joining, and the final record's certificate is what lets it extend
-// the replayed tip.
+// ReplayCertified is Replay over this ledger's retained records,
+// handing back each record's own certificate alongside the block (nil
+// when the appender had none). It flushes buffered appends first so
+// the walk sees every persisted height, and reads through its own
+// descriptor — the append position is untouched. It is the
+// restart-replay entry point: a rebooted replica rebuilds forest and
+// state machine from it before joining, and the final record's
+// certificate is what lets it extend the replayed tip.
 func (l *Ledger) ReplayCertified(fn func(b *types.Block, height uint64, selfQC *types.QC) error) error {
 	l.mu.Lock()
 	if l.closed {
@@ -661,7 +577,8 @@ func (l *Ledger) ReplayCertified(fn func(b *types.Block, height uint64, selfQC *
 	}
 	path := l.path
 	l.mu.Unlock()
-	return replay(path, fn)
+	_, err := walk(path, func(rec *record) error { return fn(rec.block, rec.height, rec.selfQC) })
+	return err
 }
 
 // TruncateTo drops every record above the given height — the restart
@@ -695,20 +612,6 @@ func (l *Ledger) TruncateTo(height uint64) error {
 	return nil
 }
 
-// frameStatus classifies the outcome of reading one record frame.
-type frameStatus int
-
-const (
-	frameOK frameStatus = iota
-	// frameEnd is a clean end of file on a frame boundary.
-	frameEnd
-	// frameTruncated is an incomplete final frame — the footprint of a
-	// crash mid-append, distinct from corruption.
-	frameTruncated
-	// frameCorrupt is a structurally damaged record.
-	frameCorrupt
-)
-
 // recordError words a record that failed to read, met after the given
 // height.
 func recordError(after uint64, err error) error {
@@ -716,69 +619,6 @@ func recordError(after uint64, err error) error {
 		return fmt.Errorf("ledger: record after height %d: %w", after, err)
 	}
 	return fmt.Errorf("ledger: corrupt record after height %d: %w", after, err)
-}
-
-// recordReader reads records off a file, reusing one frame buffer
-// (decoded records never alias it).
-type recordReader struct {
-	br    *bufio.Reader
-	frame []byte
-}
-
-// next reads one length-prefixed record, reporting the frame's total
-// on-disk length. It distinguishes a clean end of stream and a
-// truncated tail from real corruption.
-func (rr *recordReader) next() (rec record, n int64, status frameStatus, err error) {
-	if _, err := rr.br.Peek(1); err == io.EOF {
-		return rec, 0, frameEnd, nil
-	}
-	size, vn, err := readUvarintCount(rr.br)
-	if err != nil {
-		// A varint cut off by end-of-file is a torn final frame.
-		if err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) {
-			return rec, 0, frameTruncated, nil
-		}
-		return rec, 0, frameCorrupt, err
-	}
-	if size > maxRecord {
-		return rec, 0, frameCorrupt, fmt.Errorf("implausible record size %d", size)
-	}
-	if uint64(cap(rr.frame)) < size {
-		rr.frame = make([]byte, size)
-	}
-	frame := rr.frame[:size]
-	if _, err := io.ReadFull(rr.br, frame); err != nil {
-		if err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) {
-			return rec, 0, frameTruncated, nil
-		}
-		return rec, 0, frameCorrupt, err
-	}
-	if rec, err = decodeRecord(frame); err != nil {
-		return rec, 0, frameCorrupt, err
-	}
-	return rec, int64(vn) + int64(size), frameOK, nil
-}
-
-// readUvarintCount is binary.ReadUvarint plus the number of bytes
-// consumed, so scan can maintain exact file offsets.
-func readUvarintCount(br *bufio.Reader) (uint64, int, error) {
-	var x uint64
-	var s uint
-	for i := 0; i < binary.MaxVarintLen64; i++ {
-		b, err := br.ReadByte()
-		if err != nil {
-			if err == io.EOF && i > 0 {
-				return 0, i, io.ErrUnexpectedEOF
-			}
-			return 0, i, err
-		}
-		if b < 0x80 {
-			return x | uint64(b)<<s, i + 1, nil
-		}
-		x |= uint64(b&0x7f) << s
-		s += 7
-	}
-	return 0, binary.MaxVarintLen64, errors.New("uvarint overflows 64 bits")
 }
 
 // scanResult summarizes a file walk: the height index, the end offset
@@ -792,43 +632,46 @@ type scanResult struct {
 	truncated bool
 }
 
-// scan walks the file building the height index and finding the safe
-// append point, enforcing the same chain structure Replay does —
-// contiguous heights, each record's parent naming its predecessor. A
-// compacted file leads with its marker, which re-bases the expected
-// heights; the first retained record's parent (the snapshot block)
-// is outside the file and goes unchecked. A ledger with garbage or a
-// broken link in the middle must not silently resume (or be served
-// to catch-up peers).
-func scan(path string) (scanResult, error) {
+// walk reads the file at path record by record, building the height
+// index and finding the safe append point, and hands fn (when not nil)
+// each block record. It enforces the chain structure: contiguous
+// heights, each record's parent naming its predecessor. A compacted
+// file leads with its marker, which re-bases the expected heights; the
+// first retained record's parent (the snapshot block) is outside the
+// file and goes unchecked. A torn final record ends the walk cleanly;
+// a ledger with garbage or a broken link in the middle must not
+// silently resume, replay or be served to catch-up peers, and is an
+// error.
+func walk(path string, fn func(*record) error) (scanResult, error) {
 	var sc scanResult
 	f, err := os.Open(path)
 	if err != nil {
 		return sc, err
 	}
-	defer func() { _ = f.Close() }()
-	rr := recordReader{br: bufio.NewReader(f)}
+	defer func() { _ = f.Close() }() // read only
+	fr := disk.NewReader(f, maxRecord)
 	var prevID types.Hash
-	first := true
-	for {
-		rec, n, status, err := rr.next()
-		switch status {
-		case frameEnd:
+	for first := true; ; first = false {
+		body, n, st, err := fr.Next()
+		switch st {
+		case disk.End:
 			return sc, nil
-		case frameTruncated:
+		case disk.Torn:
 			sc.truncated = true
 			return sc, nil
-		case frameCorrupt:
+		case disk.Corrupt:
+			return sc, recordError(sc.height, err)
+		}
+		rec, err := decodeRecord(body)
+		if err != nil {
 			return sc, recordError(sc.height, err)
 		}
 		if rec.block == nil {
 			if !first {
 				return sc, fmt.Errorf("ledger: compaction marker after height %d", sc.height)
 			}
-			sc.base = rec.height
-			sc.height = rec.height
+			sc.base, sc.height = rec.height, rec.height
 			sc.end += n
-			first = false
 			continue
 		}
 		if rec.height != sc.height+1 {
@@ -837,10 +680,14 @@ func scan(path string) (scanResult, error) {
 		if sc.height > sc.base && rec.block.Parent != prevID {
 			return sc, fmt.Errorf("ledger: broken chain at height %d", rec.height)
 		}
+		if fn != nil {
+			if err := fn(&rec); err != nil {
+				return sc, err
+			}
+		}
 		sc.offsets = append(sc.offsets, sc.end)
 		sc.height = rec.height
 		sc.end += n
 		prevID = rec.id
-		first = false
 	}
 }

@@ -1,9 +1,11 @@
 package ledger
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/bamboo-bft/bamboo/internal/safety"
@@ -32,7 +34,7 @@ func TestAppendAndReplay(t *testing.T) {
 	}
 	blocks := buildChain(5)
 	for i, b := range blocks {
-		if err := l.Append(b, uint64(i+1)); err != nil {
+		if err := l.AppendCertified(b, uint64(i+1), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -72,13 +74,13 @@ func TestAppendRejectsGaps(t *testing.T) {
 	}
 	defer func() { _ = l.Close() }()
 	blocks := buildChain(3)
-	if err := l.Append(blocks[0], 1); err != nil {
+	if err := l.AppendCertified(blocks[0], 1, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append(blocks[2], 3); err == nil {
+	if err := l.AppendCertified(blocks[2], 3, nil); err == nil {
 		t.Fatal("height gap accepted")
 	}
-	if err := l.Append(blocks[0], 1); err == nil {
+	if err := l.AppendCertified(blocks[0], 1, nil); err == nil {
 		t.Fatal("repeat height accepted")
 	}
 }
@@ -91,7 +93,7 @@ func TestResumeFromExisting(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if err := l.Append(blocks[i], uint64(i+1)); err != nil {
+		if err := l.AppendCertified(blocks[i], uint64(i+1), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -106,7 +108,7 @@ func TestResumeFromExisting(t *testing.T) {
 	if l2.Height() != 2 {
 		t.Fatalf("resumed height = %d, want 2", l2.Height())
 	}
-	if err := l2.Append(blocks[2], 3); err != nil {
+	if err := l2.AppendCertified(blocks[2], 3, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := l2.Close(); err != nil {
@@ -128,12 +130,12 @@ func TestReplayDetectsBrokenChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	blocks := buildChain(2)
-	if err := l.Append(blocks[0], 1); err != nil {
+	if err := l.AppendCertified(blocks[0], 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Forge a block whose parent link does not match.
 	rogue := safety.BuildBlock(2, 9, &types.QC{View: 8, BlockID: types.Hash{9}}, nil)
-	if err := l.Append(rogue, 2); err != nil {
+	if err := l.AppendCertified(rogue, 2, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -162,7 +164,7 @@ func TestTruncatedTailRecovery(t *testing.T) {
 	}
 	blocks := buildChain(4)
 	for i := 0; i < 3; i++ {
-		if err := l.Append(blocks[i], uint64(i+1)); err != nil {
+		if err := l.AppendCertified(blocks[i], uint64(i+1), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -195,7 +197,7 @@ func TestTruncatedTailRecovery(t *testing.T) {
 	if l2.Height() != 2 {
 		t.Fatalf("recovered height = %d, want 2", l2.Height())
 	}
-	if err := l2.Append(blocks[2], 3); err != nil {
+	if err := l2.AppendCertified(blocks[2], 3, nil); err != nil {
 		t.Fatal(err)
 	}
 	// The ranged read path also stops at intact records only.
@@ -222,7 +224,7 @@ func TestReplayDetectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, b := range buildChain(3) {
-		if err := l.Append(b, uint64(i+1)); err != nil {
+		if err := l.AppendCertified(b, uint64(i+1), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -249,6 +251,44 @@ func TestReplayDetectsCorruption(t *testing.T) {
 	}
 }
 
+// TestFlippedPayloadByteIsCorruption: one flipped byte inside the last
+// record's payload still decodes to a well-formed block, and nothing
+// after it checks its hash; the record's checksum must catch it, for
+// Open and Replay both, as corruption and not as a torn tail.
+func TestFlippedPayloadByteIsCorruption(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "chain.ledger")
+	l, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range buildChain(3) {
+		if err := l.AppendCertified(b, uint64(i+1), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := bytes.LastIndex(data, []byte("cmd"))
+	if at < 0 {
+		t.Fatal("payload command not found in the file")
+	}
+	data[at] ^= 0x01
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := Replay(path, func(*types.Block, uint64) error { return nil }); err == nil || !strings.Contains(err.Error(), "corrupt") {
+		t.Fatalf("Replay = %v, want a corruption error", err)
+	}
+	if _, err := Open(path); err == nil || !strings.Contains(err.Error(), "corrupt") {
+		t.Fatalf("Open = %v, want a corruption error", err)
+	}
+}
+
 // TestReadRangeBoundaries covers the ranged read path's edges: empty
 // and inverted ranges, ranges starting past the head, clamping of the
 // far end, and a range spanning a close/reopen (the height index is
@@ -261,7 +301,7 @@ func TestReadRangeBoundaries(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if err := l.Append(blocks[i], uint64(i+1)); err != nil {
+		if err := l.AppendCertified(blocks[i], uint64(i+1), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -299,7 +339,7 @@ func TestReadRangeBoundaries(t *testing.T) {
 	}
 	defer func() { _ = l2.Close() }()
 	for i := 5; i < 10; i++ {
-		if err := l2.Append(blocks[i], uint64(i+1)); err != nil {
+		if err := l2.AppendCertified(blocks[i], uint64(i+1), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -329,7 +369,7 @@ func TestReadRangeSeesBufferedAppends(t *testing.T) {
 	defer func() { _ = l.Close() }()
 	blocks := buildChain(3)
 	for i, b := range blocks {
-		if err := l.Append(b, uint64(i+1)); err != nil {
+		if err := l.AppendCertified(b, uint64(i+1), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -349,7 +389,7 @@ func TestBufferedLedgerSync(t *testing.T) {
 		t.Fatal(err)
 	}
 	blocks := buildChain(1)
-	if err := l.Append(blocks[0], 1); err != nil {
+	if err := l.AppendCertified(blocks[0], 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Sync(); err != nil {
@@ -368,7 +408,7 @@ func TestBufferedLedgerSync(t *testing.T) {
 	if err := l.Close(); err != nil { // idempotent
 		t.Fatal(err)
 	}
-	if err := l.Append(blocks[0], 2); err == nil {
+	if err := l.AppendCertified(blocks[0], 2, nil); err == nil {
 		t.Fatal("append after close accepted")
 	}
 }

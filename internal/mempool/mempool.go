@@ -21,19 +21,6 @@ var (
 	ErrDuplicate = errors.New("mempool: duplicate transaction")
 )
 
-// Admission policies selecting what a full pool does with the next
-// transaction (config "memPolicy").
-const (
-	// PolicyReject turns transactions away once the pool holds its
-	// capacity — the client sees a typed rejection (HTTP 429 on the
-	// API) and decides whether to back off and retry.
-	PolicyReject = "reject"
-	// PolicyQueue admits past capacity into a bounded overflow band:
-	// the client sees no rejection, just the added queueing delay,
-	// until the overflow band is exhausted too.
-	PolicyQueue = "queue"
-)
-
 // Stats counts the pool's admission decisions over its lifetime.
 type Stats struct {
 	// Admitted counts transactions accepted by Add (Requeue re-entries
@@ -42,9 +29,6 @@ type Stats struct {
 	// Rejected counts transactions turned away with ErrFull — the
 	// overload signal the admission-control experiments measure.
 	Rejected uint64
-	// Queued counts admissions that landed past the soft capacity in
-	// the overflow band (always zero under PolicyReject).
-	Queued uint64
 }
 
 // Pool is a capacity-bounded transaction deque with a membership set
@@ -54,15 +38,13 @@ type Pool struct {
 	q       deque
 	members map[types.TxID]struct{}
 	cap     int
-	// overflow is the extra admission band of PolicyQueue: Add keeps
-	// accepting up to cap+overflow members, counting the excess as
-	// queued instead of rejecting. Zero means PolicyReject.
-	overflow int
-	stats    Stats
+	stats   Stats
 }
 
 // New creates a pool holding at most capacity transactions (Table I
-// "memsize"), rejecting admissions past it (PolicyReject).
+// "memsize"), rejecting admissions past it: the client sees a typed
+// rejection (HTTP 429 on the API) and decides whether to back off and
+// retry.
 func New(capacity int) *Pool {
 	if capacity < 1 {
 		capacity = 1
@@ -77,35 +59,17 @@ func New(capacity int) *Pool {
 	}
 }
 
-// EnableOverflow switches the pool to PolicyQueue with the given
-// overflow band: admissions past the soft capacity are accepted — and
-// counted as queued — until capacity+overflow members are held, and
-// only then rejected. Call before the pool takes traffic.
-func (p *Pool) EnableOverflow(overflow int) {
-	if overflow < 0 {
-		overflow = 0
-	}
-	p.mu.Lock()
-	p.overflow = overflow
-	p.mu.Unlock()
-}
-
 // Add appends a new client transaction at the back of the queue. A
-// full pool reports ErrFull — past the soft capacity under
-// PolicyReject, past capacity plus the overflow band under
-// PolicyQueue — and the rejection is counted in Stats.
+// full pool reports ErrFull, and the rejection is counted in Stats.
 func (p *Pool) Add(tx types.Transaction) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if _, dup := p.members[tx.ID]; dup {
 		return ErrDuplicate
 	}
-	if len(p.members) >= p.cap+p.overflow {
+	if len(p.members) >= p.cap {
 		p.stats.Rejected++
 		return ErrFull
-	}
-	if len(p.members) >= p.cap {
-		p.stats.Queued++
 	}
 	p.stats.Admitted++
 	p.members[tx.ID] = struct{}{}
@@ -223,19 +187,6 @@ func (p *Pool) Stats() Stats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.stats
-}
-
-// Occupancy reports the live member count and, of it, how many sit
-// past the soft capacity in the overflow band (zero under
-// PolicyReject, where the band does not exist).
-func (p *Pool) Occupancy() (live, queued int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	live = len(p.members)
-	if over := live - p.cap; over > 0 {
-		queued = over
-	}
-	return live, queued
 }
 
 // deque is a growable ring buffer of transactions.

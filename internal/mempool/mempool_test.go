@@ -256,44 +256,8 @@ func BenchmarkAddBatch(b *testing.B) {
 	}
 }
 
-// TestOverflowQueuePolicy: with an overflow band (PolicyQueue), the
-// pool admits past the soft capacity — counting those admissions as
-// queued — and only rejects once the band is exhausted too. Occupancy
-// splits the live count across the bands, and Stats accounts for every
-// admission decision.
-func TestOverflowQueuePolicy(t *testing.T) {
-	p := New(4)
-	p.EnableOverflow(2)
-	for i := 1; i <= 6; i++ {
-		if err := p.Add(tx(uint64(i))); err != nil {
-			t.Fatalf("add %d: %v", i, err)
-		}
-	}
-	if err := p.Add(tx(7)); err != ErrFull {
-		t.Fatalf("add past overflow band = %v, want ErrFull", err)
-	}
-	live, queued := p.Occupancy()
-	if live != 6 || queued != 2 {
-		t.Fatalf("occupancy = (%d, %d), want (6, 2)", live, queued)
-	}
-	st := p.Stats()
-	if st.Admitted != 6 || st.Queued != 2 || st.Rejected != 1 {
-		t.Fatalf("stats = %+v, want admitted 6, queued 2, rejected 1", st)
-	}
-	// Draining below the soft capacity reopens normal admission.
-	if got := len(p.Batch(3)); got != 3 {
-		t.Fatalf("batch = %d txs, want 3", got)
-	}
-	if err := p.Add(tx(8)); err != nil {
-		t.Fatalf("add after drain: %v", err)
-	}
-	if live, queued = p.Occupancy(); live != 4 || queued != 0 {
-		t.Fatalf("occupancy after drain = (%d, %d), want (4, 0)", live, queued)
-	}
-}
-
-// TestRejectPolicyDefault: without an overflow band the pool rejects
-// exactly at capacity and never counts queued admissions.
+// TestRejectPolicyDefault: the pool rejects exactly at capacity and
+// counts every admission decision.
 func TestRejectPolicyDefault(t *testing.T) {
 	p := New(2)
 	if err := p.Add(tx(1)); err != nil {
@@ -306,8 +270,8 @@ func TestRejectPolicyDefault(t *testing.T) {
 		t.Fatalf("add at capacity = %v, want ErrFull", err)
 	}
 	st := p.Stats()
-	if st.Admitted != 2 || st.Queued != 0 || st.Rejected != 1 {
-		t.Fatalf("stats = %+v, want admitted 2, queued 0, rejected 1", st)
+	if st.Admitted != 2 || st.Rejected != 1 {
+		t.Fatalf("stats = %+v, want admitted 2, rejected 1", st)
 	}
 }
 

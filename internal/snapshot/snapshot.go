@@ -22,10 +22,11 @@
 // wire codec's field layout (internal/codec) — and then the state
 // payload, which runs to the end of the file. Keeping the payload out
 // of the header lets a save write it, and a load slice it, without a
-// copy. The file is replaced atomically (write, sync, rename); one that
-// is truncated, carries an unknown version byte, does not decode or
-// does not validate means "no snapshot", exactly like a missing file —
-// there is no reader for older formats.
+// copy. The file is replaced atomically and durably by the replace the
+// ledger and the WAL also use (internal/disk); one that is truncated,
+// carries an unknown version byte, does not decode or does not
+// validate means "no snapshot", exactly like a missing file — there is
+// no reader for older formats.
 package snapshot
 
 import (
@@ -33,10 +34,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"sync"
 
 	"github.com/bamboo-bft/bamboo/internal/codec"
+	"github.com/bamboo-bft/bamboo/internal/disk"
 	"github.com/bamboo-bft/bamboo/internal/types"
 )
 
@@ -145,7 +148,7 @@ func (s *Snapshot) Validate() error {
 }
 
 // Store persists a replica's latest snapshot in one file, atomically
-// replaced on every save (write-then-rename), and keeps it cached in
+// replaced on every save, and keeps it cached in
 // memory for serving. Chunk digests are computed lazily on the first
 // serve and cached — captures run on the commit path, and hashing the
 // whole state a second time there would double the stall for a
@@ -220,11 +223,12 @@ func decodeFile(data []byte) *Snapshot {
 	return snap
 }
 
-// Save validates and persists the snapshot as the new latest,
-// atomically and durably: the bytes are synced to disk BEFORE the
-// rename, because the caller's very next step is compacting the
-// ledger prefix this snapshot replaces — a crash must never find the
-// prefix gone and the snapshot still in the page cache.
+// Save validates and persists the snapshot as the new latest by an
+// atomic, durable replace: the bytes are synced to disk before the
+// rename and the directory after it, because the caller's very next
+// step is compacting the ledger prefix this snapshot replaces — a crash
+// must never find the prefix gone and the snapshot still in the page
+// cache.
 func (st *Store) Save(s *Snapshot) error {
 	if err := s.Validate(); err != nil {
 		return err
@@ -232,29 +236,26 @@ func (st *Store) Save(s *Snapshot) error {
 	header := appendHeader(nil, s)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	tmp := st.path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	f, err := disk.Replace(st.path, true, func(w io.Writer) error {
+		for _, part := range [][]byte{header, s.Payload} {
+			if _, err := w.Write(part); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if f == nil {
+		return fmt.Errorf("snapshot: %w", err)
+	}
+	// The file now holds s, whether or not the directory sync failed.
+	st.latest = s
+	st.digests = nil // recomputed lazily on the first serve
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
 	if err != nil {
 		return fmt.Errorf("snapshot: %w", err)
 	}
-	for _, part := range [][]byte{header, s.Payload} {
-		if _, err := f.Write(part); err != nil {
-			_ = f.Close()
-			return fmt.Errorf("snapshot: %w", err)
-		}
-	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close()
-		return fmt.Errorf("snapshot: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("snapshot: %w", err)
-	}
-	if err := os.Rename(tmp, st.path); err != nil {
-		return fmt.Errorf("snapshot: %w", err)
-	}
-	st.latest = s
-	st.digests = nil // recomputed lazily on the first serve
 	return nil
 }
 

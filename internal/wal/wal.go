@@ -13,12 +13,13 @@
 //
 // # Format
 //
-// The log is a sequence of frames, `uvarint body length | crc32 (IEEE,
+// The log is a sequence of frames in the checksummed frame the ledger
+// also uses (internal/disk): `uvarint body length | crc32 (IEEE,
 // little-endian) of the body | body`. Safety state is small and
-// precious, so every frame is checksummed: a bit flip must be a clean
-// rejection, not a silently wrong lock. A body starts with a
-// format-version byte and a kind byte; blocks and certificates inside
-// it use the wire codec's field layout (internal/codec).
+// precious: a bit flip must be a clean rejection, not a silently wrong
+// lock. A body starts with a format-version byte and a kind byte;
+// blocks and certificates inside it use the wire codec's field layout
+// (internal/codec).
 //
 //	block frame: version, kindBlock, block ID (32), block
 //	state frame: version, kindState, CurView, LastVoted, Preferred,
@@ -49,21 +50,21 @@
 //
 // Every state frame supersedes all earlier ones, so the file is
 // compacted back to the live suffix's block frames plus one state
-// frame at Open and periodically during appends (atomic
-// write-then-rename, like snapshot saves).
+// frame at Open and periodically during appends, by the atomic replace
+// snapshot saves also use; it syncs only in fsync mode.
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
 	"sync"
 
 	"github.com/bamboo-bft/bamboo/internal/codec"
+	"github.com/bamboo-bft/bamboo/internal/disk"
 	"github.com/bamboo-bft/bamboo/internal/types"
 )
 
@@ -223,52 +224,55 @@ func (w *WAL) resetWritten() {
 // intact frame, and how many intact frames the file holds. A missing
 // file is an empty log.
 func scan(path string) (latest *Record, end int64, frames int, err error) {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, 0, 0, nil
 	}
 	if err != nil {
 		return nil, 0, 0, fmt.Errorf("wal: %w", err)
 	}
-	corrupt := func(off int, why string) error {
+	defer func() { _ = f.Close() }() // read only
+	corrupt := func(off int64, why string) error {
 		return fmt.Errorf("%w at offset %d in %s: %s", ErrCorrupt, off, path, why)
 	}
 	// blocks indexes every block frame by the ID it carries; only the
-	// ones the final state names are ever decoded.
+	// ones the final state names are ever decoded. The reader reuses its
+	// buffer, so the bodies kept are copies.
 	blocks := make(map[types.Hash][]byte)
 	var state []byte
-	stateOff, off := 0, 0
-	for off < len(data) {
-		body, next, status := readFrame(data, off)
-		if status == frameTruncated {
+	var stateOff int64
+	fr := disk.NewReader(f, maxFrame)
+	for {
+		body, n, st, err := fr.Next()
+		if st == disk.End || st == disk.Torn {
 			break
 		}
-		if status == frameCorrupt {
-			return nil, 0, 0, corrupt(off, "bad length or checksum")
+		if st == disk.Corrupt {
+			return nil, 0, 0, corrupt(end, err.Error())
 		}
 		if len(body) < 2 {
-			return nil, 0, 0, corrupt(off, "short body")
+			return nil, 0, 0, corrupt(end, "short body")
 		}
 		if body[0] != version {
 			return nil, 0, 0, fmt.Errorf("wal: %s: format version %d at offset %d, this build reads only version %d",
-				path, body[0], off, version)
+				path, body[0], end, version)
 		}
 		switch body[1] {
 		case kindBlock:
 			if len(body) < 2+idLen {
-				return nil, 0, 0, corrupt(off, "short block frame")
+				return nil, 0, 0, corrupt(end, "short block frame")
 			}
-			blocks[types.Hash(body[2:2+idLen])] = body[2+idLen:]
+			blocks[types.Hash(body[2:2+idLen])] = bytes.Clone(body[2+idLen:])
 		case kindState:
-			state, stateOff = body[2:], off
+			state, stateOff = bytes.Clone(body[2:]), end
 		default:
-			return nil, 0, 0, corrupt(off, fmt.Sprintf("unknown frame kind %d", body[1]))
+			return nil, 0, 0, corrupt(end, fmt.Sprintf("unknown frame kind %d", body[1]))
 		}
-		off = next
+		end += n
 		frames++
 	}
 	if state == nil {
-		return nil, int64(off), frames, nil
+		return nil, end, frames, nil
 	}
 	rec, ids, err := decodeState(state)
 	if err != nil {
@@ -286,96 +290,43 @@ func scan(path string) (latest *Record, end int64, frames int, err error) {
 		}
 		rec.Suffix = append(rec.Suffix, b)
 	}
-	return rec, int64(off), frames, nil
-}
-
-type frameStatus int
-
-const (
-	frameOK frameStatus = iota
-	frameTruncated
-	frameCorrupt
-)
-
-// readFrame returns the body of the frame starting at off and the
-// offset of the next one. A frame that runs past the end of data is
-// truncated (crash footprint); a frame whose length is implausible or
-// whose body fails the checksum is corrupt.
-func readFrame(data []byte, off int) (body []byte, next int, status frameStatus) {
-	size, n := binary.Uvarint(data[off:])
-	if n == 0 {
-		return nil, 0, frameTruncated
-	}
-	if n < 0 || size > maxFrame {
-		return nil, 0, frameCorrupt
-	}
-	start := off + n + 4
-	next = start + int(size)
-	if next > len(data) {
-		return nil, 0, frameTruncated
-	}
-	if crc32.ChecksumIEEE(data[start:next]) != binary.LittleEndian.Uint32(data[off+n:]) {
-		return nil, 0, frameCorrupt
-	}
-	return data[start:next], next, frameOK
-}
-
-// beginFrame appends the header of a frame whose body will be n bytes
-// of the given kind, and the body's first two bytes. It returns the
-// offset the body starts at, which endFrame needs.
-func beginFrame(buf []byte, n int, kind byte) ([]byte, int, error) {
-	if n > maxFrame {
-		return buf, 0, fmt.Errorf("wal: %d-byte frame exceeds the %d-byte limit", n, maxFrame)
-	}
-	buf = binary.AppendUvarint(buf, uint64(n))
-	buf = append(buf, 0, 0, 0, 0) // checksum, filled in by endFrame
-	body := len(buf)
-	return append(buf, version, kind), body, nil
-}
-
-// endFrame seals the frame whose n-byte body starts at offset body and
-// runs to the end of buf.
-func endFrame(buf []byte, body, n int) error {
-	if len(buf)-body != n {
-		// The codec's size and append functions are tested to agree; a
-		// mismatch is a codec bug, and a mis-framed record must not
-		// reach the disk.
-		return fmt.Errorf("wal: internal: frame sized %d, encoded %d", n, len(buf)-body)
-	}
-	binary.LittleEndian.PutUint32(buf[body-4:], crc32.ChecksumIEEE(buf[body:]))
-	return nil
+	return rec, end, frames, nil
 }
 
 // appendBlockFrame appends the frame carrying b under id.
 func appendBlockFrame(buf []byte, id types.Hash, b *types.Block) ([]byte, error) {
-	n := 2 + idLen + codec.BlockSize(b)
-	buf, body, err := beginFrame(buf, n, kindBlock)
+	buf, err := disk.AppendFrame(buf, 2+idLen+codec.BlockSize(b), maxFrame, func(p []byte) []byte {
+		p = append(p, version, kindBlock)
+		p = append(p, id[:]...)
+		return codec.AppendBlock(p, b)
+	})
 	if err != nil {
-		return buf, err
+		return buf, fmt.Errorf("wal: %w", err)
 	}
-	buf = append(buf, id[:]...)
-	buf = codec.AppendBlock(buf, b)
-	return buf, endFrame(buf, body, n)
+	return buf, nil
 }
 
 // appendStateFrame appends rec's state frame; the suffix travels as
 // block IDs.
 func appendStateFrame(buf []byte, rec *Record) ([]byte, error) {
 	n := 2 + 4*8 + codec.QCSize(rec.HighQC) + 4 + len(rec.Suffix)*idLen
-	buf, body, err := beginFrame(buf, n, kindState)
+	buf, err := disk.AppendFrame(buf, n, maxFrame, func(p []byte) []byte {
+		p = append(p, version, kindState)
+		for _, v := range [...]types.View{rec.CurView, rec.LastVoted, rec.Preferred, rec.LastTimeout} {
+			p = binary.LittleEndian.AppendUint64(p, uint64(v))
+		}
+		p = codec.AppendQC(p, rec.HighQC)
+		p = binary.LittleEndian.AppendUint32(p, uint32(len(rec.Suffix)))
+		for _, b := range rec.Suffix {
+			id := b.ID()
+			p = append(p, id[:]...)
+		}
+		return p
+	})
 	if err != nil {
-		return buf, err
+		return buf, fmt.Errorf("wal: %w", err)
 	}
-	for _, v := range [...]types.View{rec.CurView, rec.LastVoted, rec.Preferred, rec.LastTimeout} {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
-	}
-	buf = codec.AppendQC(buf, rec.HighQC)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(rec.Suffix)))
-	for _, b := range rec.Suffix {
-		id := b.ID()
-		buf = append(buf, id[:]...)
-	}
-	return buf, endFrame(buf, body, n)
+	return buf, nil
 }
 
 // decodeState parses a state frame's body (past the version and kind
@@ -486,8 +437,8 @@ func (w *WAL) Append(rec Record) error {
 }
 
 // compactLocked rewrites the file down to the live suffix's block
-// frames and one state frame, atomically (write tmp, sync, rename), and
-// swaps the handle onto the new file.
+// frames and one state frame by an atomic replace, durable in fsync
+// mode, and swaps the handle onto the new file.
 func (w *WAL) compactLocked() error {
 	var frames []byte
 	if w.latest != nil {
@@ -496,38 +447,22 @@ func (w *WAL) compactLocked() error {
 			return err
 		}
 	}
-	tmp := w.path + ".tmp"
-	tf, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_RDWR, 0o644)
+	f, err := disk.Replace(w.path, w.sync, func(out io.Writer) error {
+		_, err := out.Write(frames)
+		return err
+	})
+	if f == nil {
+		return fmt.Errorf("wal: compact: %w", err)
+	}
+	// The new file is in place even if err reports its directory sync:
+	// append to it from now on.
+	_ = w.f.Close() // every append to it is already written
+	w.f = f
+	w.sinceCompact = 0
+	w.resetWritten()
 	if err != nil {
 		return fmt.Errorf("wal: compact: %w", err)
 	}
-	if _, err := tf.Write(frames); err != nil {
-		tf.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("wal: compact: %w", err)
-	}
-	if err := tf.Sync(); err != nil {
-		tf.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("wal: compact: %w", err)
-	}
-	if err := os.Rename(tmp, w.path); err != nil {
-		tf.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("wal: compact: %w", err)
-	}
-	// Make the rename itself durable before retiring the old handle.
-	if w.sync {
-		if dir, derr := os.Open(filepath.Dir(w.path)); derr == nil {
-			_ = dir.Sync()
-			dir.Close()
-		}
-	}
-	old := w.f
-	w.f = tf
-	old.Close()
-	w.sinceCompact = 0
-	w.resetWritten()
 	return nil
 }
 

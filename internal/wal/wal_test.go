@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/bamboo-bft/bamboo/internal/disk"
 	"github.com/bamboo-bft/bamboo/internal/types"
 )
 
@@ -221,9 +222,8 @@ func TestCorruptionIsRejected(t *testing.T) {
 // neither repaired nor read — Open says what it found.
 func TestUnknownVersionIsRefused(t *testing.T) {
 	rec := testRecord(5)
-	data, body, _ := beginFrame(nil, 2, kindState)
-	data[body] = version + 1
-	if err := endFrame(data, body, 2); err != nil {
+	data, err := disk.AppendFrame(nil, 2, maxFrame, func(p []byte) []byte { return append(p, version+1, kindState) })
+	if err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "safety.wal")
