@@ -7,26 +7,26 @@
 //	bamboo-client -servers http://10.0.0.1:8080,http://10.0.0.2:8080 \
 //	              -concurrency 10 -runtime 30s -psize 128
 //
-// Each worker keeps one request in flight against a uniformly random
-// server and the tool prints the throughput and latency distribution
-// at the end.
+// It runs the harness's own client.Client over an HTTP transport: each
+// worker keeps one request in flight against a uniformly random server,
+// a rejected (429) transaction is retried with backoff, and each
+// request waits at most 5 s. At the end it prints the commits, the
+// rejections and retries, and the latency distribution.
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
-	"math/rand"
-	"net/http"
 	"strings"
-	"sync"
 	"time"
 
-	"github.com/bamboo-bft/bamboo/internal/kvstore"
-	"github.com/bamboo-bft/bamboo/internal/metrics"
+	"github.com/bamboo-bft/bamboo/internal/client"
+	"github.com/bamboo-bft/bamboo/internal/httpapi"
 )
+
+// perOpTimeout bounds each request, as the harness's default does.
+const perOpTimeout = 5 * time.Second
 
 func main() {
 	if err := run(); err != nil {
@@ -45,56 +45,20 @@ func run() error {
 	)
 	flag.Parse()
 	urls := strings.Split(*servers, ",")
-	if len(urls) == 0 || urls[0] == "" {
+	if urls[0] == "" {
 		return fmt.Errorf("no servers given")
 	}
 
-	var (
-		lat       metrics.Latency
-		committed metrics.Counter
-		failed    metrics.Counter
-		wg        sync.WaitGroup
-	)
-	stop := time.Now().Add(*runtime)
-	client := &http.Client{Timeout: 30 * time.Second}
-	body, err := json.Marshal(map[string][]byte{"command": kvstore.EncodeNoop(*psize)})
-	if err != nil {
-		return err
-	}
-	for w := 0; w < *concurrency; w++ {
-		wg.Add(1)
-		go func(workerSeed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(workerSeed))
-			for time.Now().Before(stop) {
-				url := urls[rng.Intn(len(urls))] + "/tx"
-				start := time.Now()
-				resp, err := client.Post(url, "application/json", bytes.NewReader(body))
-				if err != nil {
-					failed.Add(1)
-					time.Sleep(50 * time.Millisecond)
-					continue
-				}
-				var out struct {
-					Committed bool `json:"committed"`
-				}
-				decErr := json.NewDecoder(resp.Body).Decode(&out)
-				_ = resp.Body.Close()
-				if decErr != nil || !out.Committed {
-					failed.Add(1)
-					continue
-				}
-				lat.Record(time.Since(start))
-				committed.Add(1)
-			}
-		}(*seed + int64(w))
-	}
-	wg.Wait()
+	// No in-flight limit: the closed loop keeps one request per worker.
+	tr := httpapi.NewTransport(1, urls, perOpTimeout, nil)
+	cl := client.New(tr, len(urls), *psize, *seed)
+	cl.RunClosedLoop(*concurrency, perOpTimeout)
+	time.Sleep(*runtime)
+	cl.Stop()
 
-	s := lat.Snapshot()
-	elapsed := runtime.Seconds()
-	fmt.Printf("committed: %d (%.1f Tx/s)\n", committed.Load(), float64(committed.Load())/elapsed)
-	fmt.Printf("failed:    %d\n", failed.Load())
+	s := cl.Latency().Snapshot()
+	fmt.Printf("committed: %d (%.1f Tx/s)\n", cl.Committed(), float64(cl.Committed())/runtime.Seconds())
+	fmt.Printf("rejected:  %d (retries %d)\n", cl.Rejected(), cl.Retries())
 	fmt.Printf("latency:   mean %v  p50 %v  p95 %v  p99 %v  max %v\n",
 		s.Mean, s.P50, s.P95, s.P99, s.Max)
 	return nil

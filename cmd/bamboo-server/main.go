@@ -58,8 +58,6 @@ func run() error {
 		httpAddr   = flag.String("http", "", "address for the RESTful client API (empty disables)")
 		ledgerPath = flag.String("ledger", "",
 			"ledger file for the committed chain (default bamboo-replica-<id>.ledger; \"none\" disables persistence and with it deep catch-up serving and restart replay). Beside it live <ledger>.snap, the latest state snapshot (taken every snapshotInterval committed heights per the configuration; it compacts the ledger prefix it covers and serves O(state) catch-up), and <ledger>.wal, the safety WAL (last-voted view, lock, highQC and current view, fsync'd before any vote or timeout leaves the node, so a SIGKILLed replica can never vote twice in one view). A restarted replica rejoining the SAME chain reuses the three files: on startup it replays snapshot + ledger into forest and state machine before joining, then state-syncs only the tail it missed while down. A fresh deployment needs a fresh path (blocks from another chain are never served, but they occupy the file)")
-		traceSpans = flag.Int("trace-spans", 0,
-			"block-lifecycle trace ring capacity in spans (0 = default 4096). The tracer is always on; this bounds how much history GET /debug/trace exports. The event ring scales 4x this")
 	)
 	flag.Parse()
 	if *id == 0 {
@@ -156,13 +154,11 @@ func run() error {
 	}
 	store := kvstore.New()
 	node := core.NewNode(self, cfg, factory, shim, scheme, core.Options{
-		Execute:     store.Apply,
-		Ledger:      led,
-		State:       store,
-		Snapshots:   snaps,
-		WAL:         safetyWAL,
-		TraceSpans:  *traceSpans,
-		TraceEvents: 4 * *traceSpans,
+		Execute:   store.Apply,
+		Ledger:    led,
+		State:     store,
+		Snapshots: snaps,
+		WAL:       safetyWAL,
 		OnViolation: func(err error) {
 			log.Printf("SAFETY VIOLATION: %v", err)
 		},

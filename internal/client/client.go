@@ -30,8 +30,10 @@ import (
 	"github.com/bamboo-bft/bamboo/internal/workload"
 )
 
-// Client submits transactions to randomly chosen replicas over an
-// in-process transport endpoint and tracks reply latency.
+// Client submits transactions to randomly chosen replicas over a
+// transport endpoint and tracks reply latency. The endpoint is an
+// in-process one (switch or TCP) or httpapi.Transport, which carries
+// the same requests and replies over the replicas' POST /tx.
 type Client struct {
 	ep          network.Transport
 	id          uint64

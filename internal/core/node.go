@@ -75,13 +75,6 @@ type Options struct {
 	// amnesia-equivocation window. A failed append refuses the vote:
 	// staying silent is safe, equivocating is not.
 	WAL *wal.WAL
-	// TraceSpans and TraceEvents bound the block-lifecycle tracer's
-	// rings (spans and per-view events); zero selects the trace
-	// package defaults. The tracer is always on — the rings are fixed
-	// memory and stamps are lock-free — so these only tune how much
-	// history GET /debug/trace can export.
-	TraceSpans  int
-	TraceEvents int
 }
 
 // Status is the replica snapshot published after every commit.
@@ -239,7 +232,7 @@ func NewNode(id types.NodeID, cfg config.Config, factory safety.Factory,
 		pendingQCs: make(map[types.Hash]*types.QC),
 		echoSeen:   make(map[types.Hash]struct{}),
 		owned:      make(map[types.TxID]types.NodeID),
-		trace:      trace.New(id, opts.TraceSpans, opts.TraceEvents),
+		trace:      trace.New(id, 0, 0),
 		applyQueue: defaultApplyQueue,
 		opts:       opts,
 		events:     make(chan any, 64),

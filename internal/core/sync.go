@@ -38,6 +38,7 @@ import (
 	"github.com/bamboo-bft/bamboo/internal/config"
 	"github.com/bamboo-bft/bamboo/internal/crypto"
 	"github.com/bamboo-bft/bamboo/internal/snapshot"
+	"github.com/bamboo-bft/bamboo/internal/trace"
 	"github.com/bamboo-bft/bamboo/internal/types"
 )
 
@@ -158,7 +159,7 @@ func (n *Node) maybeStartSync(from types.NodeID, b *types.Block) {
 	n.catchup.target = from
 	n.catchup.epoch++
 	n.catchup.lastHeight = n.forest.CommittedHeight()
-	n.trace.OnSyncStart(from)
+	n.trace.OnSync(trace.EventSyncStart, from, n.catchup.lastHeight)
 	n.sendSyncRequest()
 	n.armSyncRetry()
 	n.publishStatus()
@@ -264,7 +265,7 @@ func (n *Node) rotateSyncTarget() {
 // epoch bump kills any stall timer still in flight.
 func (n *Node) endSync() {
 	n.catchup = syncEpisode{epoch: n.catchup.epoch + 1}
-	n.trace.OnSyncEnd()
+	n.trace.OnSync(trace.EventSyncEnd, 0, n.forest.CommittedHeight())
 	n.publishStatus()
 }
 
@@ -519,6 +520,7 @@ func (n *Node) beginManifestPhase() {
 	ep.manifestStalls = 0
 	ep.chosen, ep.agree, ep.buf = nil, nil, nil
 	ep.nextChunk, ep.chunkSeen, ep.chunkStalls = 0, 0, 0
+	n.trace.OnSync(trace.EventSyncManifests, 0, 0)
 	n.requestManifests()
 	n.armSyncRetry()
 	n.publishStatus()
@@ -656,6 +658,7 @@ func (n *Node) beginChunkPhase(m *types.SnapshotManifestMsg, agree []types.NodeI
 	}
 	ep.buf = make([]byte, 0, bufCap)
 	ep.nextChunk, ep.chunkSeen, ep.chunkStalls = 0, 0, 0
+	n.trace.OnSync(trace.EventSyncChunks, ep.chunkSrc, m.Height)
 	if len(m.ChunkDigests) == 0 {
 		// Empty state: nothing to stream — but the empty payload must
 		// still hash to the agreed digest, exactly like a streamed
@@ -754,6 +757,7 @@ func (n *Node) installSnapshot() {
 	n.adoptSnapshot(man.Block, man.QC, man.Height, man.StateDigest)
 	n.apply.enqueue(applyJob{install: snap})
 	n.pipeline.SnapshotInstalls.Add(1)
+	n.trace.OnSync(trace.EventSyncInstall, 0, man.Height)
 
 	// Suffix: continue the blocks phase from the snapshot height,
 	// served by the peer whose chunks we just verified.

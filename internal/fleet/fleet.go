@@ -252,7 +252,6 @@ func (f *Fleet) spawn(r *replica) error {
 // waitReady polls the replica's /readyz until it answers 200, the
 // process dies, or the deadline passes.
 func (f *Fleet) waitReady(r *replica, deadline time.Time) error {
-	url := fmt.Sprintf("http://%s/readyz", r.httpAddr)
 	for {
 		r.mu.Lock()
 		done := r.waitDone
@@ -263,13 +262,8 @@ func (f *Fleet) waitReady(r *replica, deadline time.Time) error {
 				r.id, r.waitError(), logTail(r.logPath))
 		default:
 		}
-		resp, err := f.client.Get(url)
-		if err == nil {
-			_, _ = io.Copy(io.Discard, resp.Body)
-			_ = resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return nil
-			}
+		if _, err := f.call(r.id, "readiness", "/readyz", nil); err == nil {
+			return nil
 		}
 		if time.Now().After(deadline) {
 			return fmt.Errorf("fleet: replica %d not ready within %v\n%s",
@@ -324,9 +318,6 @@ func (f *Fleet) URL(id types.NodeID) string {
 	return "http://" + f.replicas[id].httpAddr
 }
 
-// Config returns the effective configuration (addresses filled in).
-func (f *Fleet) Config() config.Config { return f.cfg }
-
 // Dir returns the run directory.
 func (f *Fleet) Dir() string { return f.dir }
 
@@ -379,19 +370,8 @@ func (f *Fleet) postConditions(r *replica, spec network.ConditionsSpec) error {
 	if err != nil {
 		return fmt.Errorf("fleet: encode conditions: %w", err)
 	}
-	resp, err := f.client.Post(
-		fmt.Sprintf("http://%s/admin/conditions", r.httpAddr),
-		"application/json", bytes.NewReader(body))
-	if err != nil {
-		return fmt.Errorf("fleet: replica %d conditions: %w", r.id, err)
-	}
-	defer func() { _ = resp.Body.Close() }()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("fleet: replica %d conditions: %s: %s",
-			r.id, resp.Status, bytes.TrimSpace(msg))
-	}
-	return nil
+	_, err = f.call(r.id, "conditions", "/admin/conditions", body)
+	return err
 }
 
 // Crash kills the replica's process with SIGKILL — no shutdown path
@@ -443,81 +423,77 @@ func (f *Fleet) Restart(id types.NodeID) {
 	}
 }
 
+// errNotFound is call's error for a 404.
+var errNotFound = errors.New("not found")
+
+// call sends path to replica id, as a POST of body when body is not
+// nil and a GET otherwise, and returns the body of a 200 response.
+// what names the call in its errors; a 404 wraps errNotFound.
+func (f *Fleet) call(id types.NodeID, what, path string, body []byte) ([]byte, error) {
+	var resp *http.Response
+	var err error
+	if body != nil {
+		resp, err = f.client.Post(f.URL(id)+path, "application/json", bytes.NewReader(body))
+	} else {
+		resp, err = f.client.Get(f.URL(id) + path)
+	}
+	if err == nil {
+		defer func() { _ = resp.Body.Close() }()
+		var reply []byte
+		switch reply, err = io.ReadAll(resp.Body); {
+		case err != nil:
+		case resp.StatusCode == http.StatusOK:
+			return reply, nil
+		case resp.StatusCode == http.StatusNotFound:
+			err = errNotFound
+		default:
+			err = fmt.Errorf("%s: %s", resp.Status, bytes.TrimSpace(reply[:min(len(reply), 512)]))
+		}
+	}
+	return nil, fmt.Errorf("fleet: replica %d %s: %w", id, what, err)
+}
+
+// getJSON GETs path from replica id and decodes the JSON body.
+func getJSON[T any](f *Fleet, id types.NodeID, what, path string) (T, error) {
+	var out T
+	body, err := f.call(id, what, path, nil)
+	if err == nil {
+		if err = json.Unmarshal(body, &out); err != nil {
+			err = fmt.Errorf("fleet: replica %d %s: %w", id, what, err)
+		}
+	}
+	return out, err
+}
+
 // ReplicaResult fetches the replica's node-local result slice.
 func (f *Fleet) ReplicaResult(id types.NodeID) (httpapi.ReplicaResult, error) {
-	var out httpapi.ReplicaResult
-	resp, err := f.client.Get(f.URL(id) + "/admin/result")
-	if err != nil {
-		return out, fmt.Errorf("fleet: replica %d result: %w", id, err)
-	}
-	defer func() { _ = resp.Body.Close() }()
-	if resp.StatusCode != http.StatusOK {
-		return out, fmt.Errorf("fleet: replica %d result: %s", id, resp.Status)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return out, fmt.Errorf("fleet: replica %d result: %w", id, err)
-	}
-	return out, nil
+	return getJSON[httpapi.ReplicaResult](f, id, "result", "/admin/result")
 }
 
 // Metrics scrapes the replica's Prometheus text exposition
 // (GET /metrics) — the fleet-wide telemetry plane's raw material, and
 // what CI's fleet-smoke asserts parses from a live server process.
 func (f *Fleet) Metrics(id types.NodeID) (string, error) {
-	resp, err := f.client.Get(f.URL(id) + "/metrics")
-	if err != nil {
-		return "", fmt.Errorf("fleet: replica %d metrics: %w", id, err)
-	}
-	defer func() { _ = resp.Body.Close() }()
-	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("fleet: replica %d metrics: %s", id, resp.Status)
-	}
-	text, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return "", fmt.Errorf("fleet: replica %d metrics: %w", id, err)
-	}
-	return string(text), nil
+	text, err := f.call(id, "metrics", "/metrics", nil)
+	return string(text), err
 }
 
 // Trace fetches the replica's block-lifecycle trace rings
 // (GET /debug/trace): spans with stage timestamps plus interleaved
 // per-view events, decoded from the JSON export.
 func (f *Fleet) Trace(id types.NodeID) (trace.Export, error) {
-	var out trace.Export
-	resp, err := f.client.Get(f.URL(id) + "/debug/trace")
-	if err != nil {
-		return out, fmt.Errorf("fleet: replica %d trace: %w", id, err)
-	}
-	defer func() { _ = resp.Body.Close() }()
-	if resp.StatusCode != http.StatusOK {
-		return out, fmt.Errorf("fleet: replica %d trace: %s", id, resp.Status)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return out, fmt.Errorf("fleet: replica %d trace: %w", id, err)
-	}
-	return out, nil
+	return getJSON[trace.Export](f, id, "trace", "/debug/trace")
 }
 
 // HashAt fetches the replica's committed block hash at the height.
 // ok=false (without error) means the replica has not committed that
 // height.
 func (f *Fleet) HashAt(id types.NodeID, height uint64) (string, bool, error) {
-	resp, err := f.client.Get(fmt.Sprintf("%s/hash?height=%d", f.URL(id), height))
-	if err != nil {
-		return "", false, fmt.Errorf("fleet: replica %d hash: %w", id, err)
-	}
-	defer func() { _ = resp.Body.Close() }()
-	if resp.StatusCode == http.StatusNotFound {
+	body, err := getJSON[map[string]string](f, id, "hash", fmt.Sprintf("/hash?height=%d", height))
+	if errors.Is(err, errNotFound) {
 		return "", false, nil
 	}
-	if resp.StatusCode != http.StatusOK {
-		return "", false, fmt.Errorf("fleet: replica %d hash: %s", id, resp.Status)
-	}
-	var body map[string]string
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		return "", false, fmt.Errorf("fleet: replica %d hash: %w", id, err)
-	}
-	return body["hash"], true, nil
+	return body["hash"], err == nil, err
 }
 
 // Stop tears the fleet down: SIGTERM every live replica, wait out the

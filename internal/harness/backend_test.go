@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/bamboo-bft/bamboo/internal/config"
+	"github.com/bamboo-bft/bamboo/internal/httpapi"
 	"github.com/bamboo-bft/bamboo/internal/types"
 )
 
@@ -288,5 +289,41 @@ func TestOpenLoopAllBackends(t *testing.T) {
 				t.Fatalf("percentile ladder broken: p50=%v p99=%v p999=%v", p.P50, p.P99, p.P999)
 			}
 		})
+	}
+}
+
+// TestFleetClosedLoopAboveMaxInFlight: a fleet closed loop with more
+// workers than the open loop's in-flight bound keeps every worker
+// submitting. A dropped send would stall its worker for the per-op
+// timeout and count in Shed; the short timeout brings any such resend
+// inside the window.
+func TestFleetClosedLoopAboveMaxInFlight(t *testing.T) {
+	buildServerBinary(t)
+	cfg := config.Default()
+	cfg.Protocol = config.ProtocolHotStuff
+	cfg.ApplyProtocolDefaults()
+	cfg.CryptoScheme = "hmac"
+	cfg.BlockSize = 100
+	cfg.MemSize = 1 << 14
+	cfg.Timeout = 100 * time.Millisecond
+	const workers = httpapi.MaxInFlight + 32
+	res, err := Run(Experiment{
+		Name:    "fleet-closed-wide",
+		Backend: BackendFleet,
+		Config:  cfg,
+		Measure: MeasurePlan{
+			Warmup:       300 * time.Millisecond,
+			Window:       time.Second,
+			Concurrency:  workers,
+			PerOpTimeout: 500 * time.Millisecond,
+		},
+	})
+	if err != nil {
+		t.Fatalf("run: %v (result error %q)", err, res.Error)
+	}
+	p := res.Points[0]
+	if p.Offered != workers || p.Throughput <= 0 || p.Shed != 0 {
+		t.Fatalf("offered %v throughput %.0f shed %d, want %d, > 0, 0",
+			p.Offered, p.Throughput, p.Shed, workers)
 	}
 }

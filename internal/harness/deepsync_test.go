@@ -1,13 +1,47 @@
 package harness
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"github.com/bamboo-bft/bamboo/internal/config"
+	"github.com/bamboo-bft/bamboo/internal/trace"
 	"github.com/bamboo-bft/bamboo/internal/types"
 	"github.com/bamboo-bft/bamboo/internal/workload"
 )
+
+// laggardTimeline renders the catch-up timeline of the replica that
+// ended lowest, so a failed recovery verdict says whether its episodes
+// stalled, gave up or were only slow. Times count from its first event.
+func laggardTimeline(res *Result) string {
+	lag := 0
+	for i, h := range res.Heights {
+		if h < res.Heights[lag] {
+			lag = i
+		}
+	}
+	var evs []trace.Event
+	if lag < len(res.SyncEvents) {
+		evs = res.SyncEvents[lag]
+	}
+	if len(evs) == 0 {
+		return fmt.Sprintf("replica %d ran no catch-up episode", lag+1)
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "replica %d catch-up timeline:", lag+1)
+	for _, e := range evs {
+		fmt.Fprintf(&b, "\n  +%v %s", time.Duration(e.Time-evs[0].Time).Round(time.Millisecond), e.Kind)
+		if e.Node != 0 {
+			fmt.Fprintf(&b, " node=%d", e.Node)
+		}
+		if e.Height != 0 {
+			fmt.Fprintf(&b, " height=%d", e.Height)
+		}
+	}
+	return b.String()
+}
 
 // TestDeepCatchUpRecovery is the regression test for the liveness hole
 // ledger-backed state sync closes: one replica is partitioned away
@@ -72,7 +106,7 @@ func TestDeepCatchUpRecovery(t *testing.T) {
 	// honest height — impossible for node 2 without deep sync, since
 	// the partition-era gap exceeded the window.
 	if !res.Recovered {
-		t.Fatalf("partitioned replica never recovered: heights %v", res.Heights)
+		t.Fatalf("partitioned replica never recovered: heights %v\n%s", res.Heights, laggardTimeline(res))
 	}
 	if len(res.Heights) != cfg.N {
 		t.Fatalf("heights for %d replicas, want %d", len(res.Heights), cfg.N)
@@ -89,6 +123,11 @@ func TestDeepCatchUpRecovery(t *testing.T) {
 	}
 	if res.Pipeline.SyncRequestsSent == 0 || res.Pipeline.SyncBatchesServed == 0 {
 		t.Fatalf("sync counters missing a side: %+v", res.Pipeline)
+	}
+	// The isolated replica's episode reached the Result's timeline.
+	if len(res.SyncEvents) != cfg.N || len(res.SyncEvents[1]) == 0 ||
+		res.SyncEvents[1][0].Kind != trace.EventSyncStart {
+		t.Fatalf("no catch-up timeline for replica 2: %+v", res.SyncEvents)
 	}
 
 	// The committed-rate timeline must show commits at the tail — the

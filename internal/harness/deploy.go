@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/bamboo-bft/bamboo/internal/client"
 	"github.com/bamboo-bft/bamboo/internal/cluster"
 	"github.com/bamboo-bft/bamboo/internal/election"
 	"github.com/bamboo-bft/bamboo/internal/httpapi"
@@ -13,13 +12,20 @@ import (
 	"github.com/bamboo-bft/bamboo/internal/workload"
 )
 
-// loadClient is one benchmark client as runStep windows it:
-// *client.Client in-process, a fleetClient over HTTP on the fleet.
+// loadClient is one benchmark client as runStep drives and windows
+// it: a *client.Client on every backend, over an in-process endpoint or
+// the fleet's HTTP transport (step_test.go substitutes a fake).
 type loadClient interface {
+	SetWorkload(workload.Generator)
+	RunClosedLoop(concurrency int, perOpTimeout time.Duration)
+	RunOpenLoop(rate float64)
+	Stop()
 	Latency() *metrics.Latency
 	Committed() uint64
 	Rejected() uint64
 	Retries() uint64
+	// Shed counts arrivals that never reached a replica.
+	Shed() uint64
 }
 
 // deployment is what runStep drives one load level over: an in-process
@@ -28,16 +34,8 @@ type loadClient interface {
 // between backends.
 type deployment interface {
 	FaultTarget
-	// attach adds one benchmark client generating commands from gen.
-	attach(gen workload.Generator) (loadClient, error)
-	// startLoad drives every attached client: an open loop of rate
-	// transactions/second each when rate > 0, else workers closed-loop
-	// workers each.
-	startLoad(rate float64, workers int, perOp time.Duration)
-	// stopLoad stops the load and waits for it.
-	stopLoad()
-	// shed counts open-loop arrivals dropped before reaching a replica.
-	shed() uint64
+	// newClient adds one benchmark client.
+	newClient() (loadClient, error)
 	// replica reads one replica's result slice; an error means the
 	// replica is unreachable.
 	replica(id types.NodeID) (httpapi.ReplicaResult, error)
@@ -66,11 +64,10 @@ func deploy(exp Experiment) (deployment, time.Time, error) {
 
 // inProcess is the switch and TCP deployment: a started cluster, which
 // is also the fault target (condition marks, plus socket teardown for
-// crashes over TCP), and its benchmark clients.
+// crashes over TCP).
 type inProcess struct {
 	*cluster.Cluster
-	fanout  bool
-	clients []*client.Client
+	fanout bool
 }
 
 func deployInProcess(exp Experiment) (deployment, time.Time, error) {
@@ -98,41 +95,13 @@ func deployInProcess(exp Experiment) (deployment, time.Time, error) {
 	return d, epoch, nil
 }
 
-func (d *inProcess) attach(gen workload.Generator) (loadClient, error) {
+func (d *inProcess) newClient() (loadClient, error) {
 	cl, err := d.NewClient()
 	if err != nil {
 		return nil, err
 	}
-	cl.SetWorkload(gen)
 	cl.SetFanout(d.fanout)
-	d.clients = append(d.clients, cl)
 	return cl, nil
-}
-
-func (d *inProcess) startLoad(rate float64, workers int, perOp time.Duration) {
-	for _, cl := range d.clients {
-		if rate > 0 {
-			cl.RunOpenLoop(rate)
-		} else {
-			cl.RunClosedLoop(workers, perOp)
-		}
-	}
-}
-
-func (d *inProcess) stopLoad() {
-	for _, cl := range d.clients {
-		cl.Stop()
-	}
-}
-
-// shed is what the clients' open-loop pacers dropped for falling
-// behind; sending itself never blocks in-process.
-func (d *inProcess) shed() uint64 {
-	var n uint64
-	for _, cl := range d.clients {
-		n += cl.Shed()
-	}
-	return n
 }
 
 func (d *inProcess) replica(id types.NodeID) (httpapi.ReplicaResult, error) {

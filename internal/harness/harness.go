@@ -19,6 +19,7 @@ import (
 	"github.com/bamboo-bft/bamboo/internal/httpapi"
 	"github.com/bamboo-bft/bamboo/internal/metrics"
 	"github.com/bamboo-bft/bamboo/internal/network"
+	"github.com/bamboo-bft/bamboo/internal/trace"
 	"github.com/bamboo-bft/bamboo/internal/types"
 	"github.com/bamboo-bft/bamboo/internal/workload"
 )
@@ -132,7 +133,8 @@ type MeasurePlan struct {
 	// split evenly across all clients. Per-client committed throughput
 	// feeds the Point fairness fields.
 	Clients []ClientSpec `json:"clients,omitempty"`
-	// PerOpTimeout bounds each closed-loop wait (default 5s).
+	// PerOpTimeout bounds each closed-loop wait and, on the fleet, each
+	// HTTP submission (default 5s).
 	PerOpTimeout time.Duration `json:"perOpTimeout,omitempty"`
 	// SaturationStop ends a Levels ladder early once throughput
 	// clearly degrades past its best (the paper's "increase
@@ -146,9 +148,14 @@ type MeasurePlan struct {
 	// Fanout broadcasts each client transaction to every replica
 	// instead of one chosen at random (Section V-E).
 	Fanout bool `json:"fanout,omitempty"`
-	// WithStores attaches a kvstore execution layer to every replica
-	// even for workloads that do not require one.
-	WithStores bool `json:"withStores,omitempty"`
+}
+
+// perOp is the per-operation timeout: PerOpTimeout, or 5 s when unset.
+func (m MeasurePlan) perOp() time.Duration {
+	if m.PerOpTimeout > 0 {
+		return m.PerOpTimeout
+	}
+	return 5 * time.Second
 }
 
 // Point is one measured datum of a throughput/latency experiment.
@@ -184,9 +191,10 @@ type Point struct {
 	// PoolRejections sums the replicas' server-side mempool rejections
 	// over the window — nonzero means admission control engaged.
 	PoolRejections uint64 `json:"poolRejections,omitempty"`
-	// Shed counts open-loop arrivals that never reached a replica: the
-	// pacer fell more than 50 ms behind the declared rate (any backend),
-	// or the fleet's bounded HTTP submitter pool was saturated.
+	// Shed counts arrivals that never reached a replica: open-loop ones
+	// a pacer that fell more than 50 ms behind the declared rate dropped
+	// (any backend), and on the fleet the sends an HTTP transport
+	// dropped past its in-flight bound or that got no answer.
 	Shed uint64 `json:"shed,omitempty"`
 	// CGR and BI are the chain micro-metrics over the window.
 	CGR float64 `json:"cgr"`
@@ -261,6 +269,13 @@ type Result struct {
 	// recovered by installing a snapshot rather than streaming the
 	// whole gap.
 	SnapshotHeights []uint64 `json:"snapshotHeights,omitempty"`
+	// SyncEvents is every replica's catch-up timeline at the end of the
+	// final level (index is replica ID minus one), present when some
+	// replica ran a catch-up episode: its last sync-start,
+	// sync-manifests, sync-chunks, sync-install and sync-end trace
+	// events, which say whether a replica that did not recover stalled
+	// or was only slow.
+	SyncEvents [][]trace.Event `json:"syncEvents,omitempty"`
 	// PreKillHeights and PreKillLedgerHeights record, per replica
 	// (index is ID minus one), the committed height and the on-disk
 	// ledger height fetched in the instant before that replica's
@@ -490,7 +505,12 @@ func runStep(exp Experiment, d deployment, epoch time.Time, concurrency int, rat
 	// still running while the transports close underneath it.
 	stop := sync.OnceValue(d.stop)
 	defer stop()
-	stopLoad := sync.OnceFunc(d.stopLoad)
+	var clients []loadClient
+	stopLoad := sync.OnceFunc(func() {
+		for _, cl := range clients {
+			cl.Stop()
+		}
+	})
 	defer stopLoad()
 	stopFaults, faultsDone := make(chan struct{}), make(chan struct{})
 	go func() {
@@ -517,7 +537,6 @@ func runStep(exp Experiment, d deployment, epoch time.Time, concurrency int, rat
 	// Assemble the benchmark clients: one per declared population
 	// slot, each with its own deterministically seeded generator so a
 	// mixed fleet (readers alongside writers) replays exactly.
-	var clients []loadClient
 	for _, cs := range fleetSpecs(exp) {
 		wl := exp.Workload
 		if cs.Workload != nil {
@@ -528,10 +547,11 @@ func runStep(exp Experiment, d deployment, epoch time.Time, concurrency int, rat
 			if err != nil {
 				return p, err
 			}
-			cl, err := d.attach(gen)
+			cl, err := d.newClient()
 			if err != nil {
 				return p, err
 			}
+			cl.SetWorkload(gen)
 			clients = append(clients, cl)
 		}
 	}
@@ -539,13 +559,11 @@ func runStep(exp Experiment, d deployment, epoch time.Time, concurrency int, rat
 	if window <= 0 {
 		window = cfg.Runtime
 	}
-	perOp := exp.Measure.PerOpTimeout
-	if perOp <= 0 {
-		perOp = 5 * time.Second
-	}
 	if rate > 0 {
 		p.Offered = rate
-		d.startLoad(rate/float64(len(clients)), 0, perOp)
+		for _, cl := range clients {
+			cl.RunOpenLoop(rate / float64(len(clients)))
+		}
 	} else {
 		workers := concurrency
 		if len(exp.Measure.Clients) > 0 {
@@ -554,21 +572,23 @@ func runStep(exp Experiment, d deployment, epoch time.Time, concurrency int, rat
 			concurrency, workers = len(clients), 1
 		}
 		p.Offered = float64(concurrency)
-		d.startLoad(0, workers, perOp)
+		for _, cl := range clients {
+			cl.RunClosedLoop(workers, exp.Measure.perOp())
+		}
 	}
 
 	if exp.Measure.Warmup > 0 {
 		time.Sleep(exp.Measure.Warmup)
 	}
 	startCommitted := make([]uint64, len(clients))
-	var startRejected, startRetries uint64
+	var startRejected, startRetries, startShed uint64
 	for i, cl := range clients {
 		cl.Latency().Reset()
 		startCommitted[i] = cl.Committed()
 		startRejected += cl.Rejected()
 		startRetries += cl.Retries()
+		startShed += cl.Shed()
 	}
-	startShed := d.shed()
 	startRecs, _, err := collect(d, n)
 	if err != nil {
 		return p, err
@@ -584,12 +604,13 @@ func runStep(exp Experiment, d deployment, epoch time.Time, concurrency int, rat
 	}
 	endMsgs, endBytes := d.traffic(endRecs[n-1])
 	merged := &metrics.Latency{}
-	var endRejected, endRetries uint64
+	var endRejected, endRetries, endShed uint64
 	minTps, maxTps := math.Inf(1), 0.0
 	for i, cl := range clients {
 		merged.Merge(cl.Latency())
 		endRejected += cl.Rejected()
 		endRetries += cl.Retries()
+		endShed += cl.Shed()
 		tps := float64(cl.Committed()-startCommitted[i]) / elapsed.Seconds()
 		minTps, maxTps = min(minTps, tps), max(maxTps, tps)
 	}
@@ -606,7 +627,7 @@ func runStep(exp Experiment, d deployment, epoch time.Time, concurrency int, rat
 	p.Rejected = endRejected - startRejected
 	p.Retries = endRetries - startRetries
 	p.PoolRejections = poolRejected(endRecs) - poolRejected(startRecs)
-	p.Shed = d.shed() - startShed
+	p.Shed = endShed - startShed
 	p.NetMsgs, p.NetBytes = endMsgs-startMsgs, endBytes-startBytes
 
 	joinFaults()
@@ -625,8 +646,13 @@ func runStep(exp Experiment, d deployment, epoch time.Time, concurrency int, rat
 	var honestHeights []uint64
 	res.Heights = make([]uint64, n)
 	snapHeights := make([]uint64, n)
+	syncEvents := make([][]trace.Event, n)
+	res.SyncEvents = nil
 	for i, rr := range final {
 		res.Heights[i], snapHeights[i] = rr.CommittedHeight, rr.SnapshotHeight
+		if syncEvents[i] = rr.SyncEvents; len(rr.SyncEvents) > 0 {
+			res.SyncEvents = syncEvents
+		}
 		res.Violations += rr.Violations
 		if id := types.NodeID(i + 1); reached[i] && !cfg.IsByzantine(id) {
 			chain.Accumulate(rr.Chain)
@@ -728,7 +754,7 @@ func poolRejected(recs []httpapi.ReplicaResult) uint64 {
 // or a client population's override — executes against a kvstore, so
 // replicas get execution layers whenever some client needs them.
 func needStores(exp Experiment) bool {
-	if exp.Measure.WithStores || exp.Workload.Stores() {
+	if exp.Workload.Stores() {
 		return true
 	}
 	for _, cs := range exp.Measure.Clients {

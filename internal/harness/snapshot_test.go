@@ -69,7 +69,7 @@ func TestSnapshotCatchUpRecovery(t *testing.T) {
 			res.Consistent, res.Violations)
 	}
 	if !res.Recovered {
-		t.Fatalf("isolated replica never recovered: heights %v", res.Heights)
+		t.Fatalf("isolated replica never recovered: heights %v\n%s", res.Heights, laggardTimeline(res))
 	}
 
 	// The headline: recovery went through a snapshot install, not a

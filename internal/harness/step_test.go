@@ -22,12 +22,18 @@ import (
 type fakeClient struct {
 	step, committed uint64
 	lat             metrics.Latency
+	d               *fakeDeployment
 }
 
-func (c *fakeClient) Latency() *metrics.Latency { return &c.lat }
-func (c *fakeClient) Committed() uint64         { c.committed += c.step; return c.committed }
-func (c *fakeClient) Rejected() uint64          { return 0 }
-func (c *fakeClient) Retries() uint64           { return 0 }
+func (c *fakeClient) SetWorkload(workload.Generator)   {}
+func (c *fakeClient) RunClosedLoop(int, time.Duration) {}
+func (c *fakeClient) RunOpenLoop(float64)              {}
+func (c *fakeClient) Stop()                            { c.d.loadStopped = true }
+func (c *fakeClient) Shed() uint64                     { return 0 }
+func (c *fakeClient) Latency() *metrics.Latency        { return &c.lat }
+func (c *fakeClient) Committed() uint64                { c.committed += c.step; return c.committed }
+func (c *fakeClient) Rejected() uint64                 { return 0 }
+func (c *fakeClient) Retries() uint64                  { return 0 }
 
 // fakeDeployment is a deployment with no sockets and no processes: its
 // replicas report fixed records, its clients fixed commit steps.
@@ -73,18 +79,14 @@ func (d *fakeDeployment) Crash(types.NodeID) {
 	d.crashed.Store(true)
 }
 
-func (d *fakeDeployment) attach(workload.Generator) (loadClient, error) {
+func (d *fakeDeployment) newClient() (loadClient, error) {
 	var step uint64 = 1
 	if d.clients < len(d.steps) {
 		step = d.steps[d.clients]
 	}
 	d.clients++
-	return &fakeClient{step: step}, nil
+	return &fakeClient{step: step, d: d}, nil
 }
-
-func (d *fakeDeployment) startLoad(float64, int, time.Duration) {}
-func (d *fakeDeployment) stopLoad()                             { d.loadStopped = true }
-func (d *fakeDeployment) shed() uint64                          { return 0 }
 
 func (d *fakeDeployment) replica(id types.NodeID) (httpapi.ReplicaResult, error) {
 	if d.down[id] {

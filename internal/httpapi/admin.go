@@ -10,6 +10,7 @@ import (
 	"github.com/bamboo-bft/bamboo/internal/core"
 	"github.com/bamboo-bft/bamboo/internal/metrics"
 	"github.com/bamboo-bft/bamboo/internal/network"
+	"github.com/bamboo-bft/bamboo/internal/trace"
 )
 
 // The admin surface is the control plane a fleet supervisor drives a
@@ -89,6 +90,9 @@ type ReplicaResult struct {
 	// server-side rejection deltas per measurement window.
 	PoolAdmitted uint64 `json:"poolAdmitted"`
 	PoolRejected uint64 `json:"poolRejected"`
+	// SyncEvents is the replica's catch-up timeline (episode start,
+	// manifest and chunk phases, install, end) from its tracer.
+	SyncEvents []trace.Event `json:"syncEvents,omitempty"`
 }
 
 // ResultOf reads a replica's node-local result slice — the one record
@@ -107,6 +111,7 @@ func ResultOf(node *core.Node) ReplicaResult {
 		Pipeline:        node.Pipeline().Snapshot(),
 		PoolAdmitted:    ps.Admitted,
 		PoolRejected:    ps.Rejected,
+		SyncEvents:      node.Trace().SyncEvents(),
 	}
 	if tr, ok := node.Transport().(interface{ Stats() network.TransportStats }); ok {
 		res.Transport = tr.Stats()

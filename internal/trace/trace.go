@@ -107,8 +107,15 @@ const (
 	EventTimeout       = "timeout-fired"
 	EventWALSync       = "wal-sync"
 	EventSyncStart     = "sync-start"
+	EventSyncManifests = "sync-manifests"
+	EventSyncChunks    = "sync-chunks"
+	EventSyncInstall   = "sync-install"
 	EventSyncEnd       = "sync-end"
 )
+
+// syncLogCap bounds the sync log: the last catch-up events, kept apart
+// from the event ring, which view events would evict within seconds.
+const syncLogCap = 256
 
 // Event is one per-view occurrence interleaved with the spans.
 type Event struct {
@@ -116,8 +123,12 @@ type Event struct {
 	Kind string     `json:"kind"`
 	View types.View `json:"view,omitempty"`
 	// Node names the event's subject where one exists: the elected
-	// leader of a view-entered event, the sync target of a sync-start.
+	// leader of a view-entered event, the serving peer of a sync-start
+	// or sync-chunks.
 	Node types.NodeID `json:"node,omitempty"`
+	// Height is the committed height at a sync-start or sync-end, and
+	// the snapshot height of a sync-chunks or sync-install.
+	Height uint64 `json:"height,omitempty"`
 	// Dur carries a duration where the event has one (the fsync wait
 	// of a WAL sync), in nanoseconds.
 	Dur int64 `json:"dur,omitempty"`
@@ -137,6 +148,9 @@ type Tracer struct {
 
 	events   []atomic.Pointer[Event]
 	eventSeq atomic.Uint64
+
+	syncMu  sync.Mutex
+	syncLog []Event
 }
 
 // New creates a tracer for one replica with the given ring
@@ -259,11 +273,33 @@ func (t *Tracer) OnReplied(h types.Hash) {
 	}
 }
 
-// event appends to the event ring.
-func (t *Tracer) event(e Event) {
+// event stamps e and appends it to the event ring.
+func (t *Tracer) event(e Event) Event {
 	e.Time = now()
 	seq := t.eventSeq.Add(1) - 1
 	t.events[seq%uint64(len(t.events))].Store(&e)
+	return e
+}
+
+// OnSync records one step of a deep catch-up episode — kind is one of
+// the EventSync kinds — with its serving peer and height where it has
+// them (see Event), in the event ring and in the sync log.
+func (t *Tracer) OnSync(kind string, peer types.NodeID, height uint64) {
+	e := t.event(Event{Kind: kind, Node: peer, Height: height})
+	t.syncMu.Lock()
+	defer t.syncMu.Unlock()
+	if len(t.syncLog) == syncLogCap {
+		t.syncLog = append(t.syncLog[:0], t.syncLog[1:]...)
+	}
+	t.syncLog = append(t.syncLog, e)
+}
+
+// SyncEvents returns the last catch-up events (up to 256), oldest
+// first.
+func (t *Tracer) SyncEvents() []Event {
+	t.syncMu.Lock()
+	defer t.syncMu.Unlock()
+	return append([]Event(nil), t.syncLog...)
 }
 
 // OnViewEntered records the replica entering a view under the given
@@ -284,17 +320,6 @@ func (t *Tracer) OnTimeout(view types.View) {
 // OnWALSync records one durable safety sync and its fsync wait.
 func (t *Tracer) OnWALSync(view types.View, d time.Duration) {
 	t.event(Event{Kind: EventWALSync, View: view, Dur: int64(d)})
-}
-
-// OnSyncStart records a deep catch-up episode beginning against the
-// given peer.
-func (t *Tracer) OnSyncStart(target types.NodeID) {
-	t.event(Event{Kind: EventSyncStart, Node: target})
-}
-
-// OnSyncEnd records the catch-up episode ending.
-func (t *Tracer) OnSyncEnd() {
-	t.event(Event{Kind: EventSyncEnd})
 }
 
 // Export is the JSON shape of GET /debug/trace: the ring contents,

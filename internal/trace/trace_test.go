@@ -118,6 +118,50 @@ func TestEventRingWraparound(t *testing.T) {
 	}
 }
 
+// TestSyncLogOutlivesEventRing: a catch-up episode's events survive
+// the view events that evict them from the event ring, in order and
+// with their heights, and the sync log itself keeps only the newest
+// syncLogCap.
+func TestSyncLogOutlivesEventRing(t *testing.T) {
+	tr := New(2, 8, 8)
+	tr.OnSync(EventSyncStart, 3, 100)
+	tr.OnSync(EventSyncManifests, 0, 0)
+	tr.OnSync(EventSyncChunks, 5, 152)
+	tr.OnSync(EventSyncInstall, 0, 152)
+	tr.OnSync(EventSyncEnd, 0, 160)
+	for v := types.View(1); v <= 16; v++ {
+		tr.OnTimeout(v)
+	}
+	for _, e := range tr.Snapshot().Events {
+		if e.Kind != EventTimeout {
+			t.Fatalf("event ring still holds %s", e.Kind)
+		}
+	}
+	want := []Event{
+		{Kind: EventSyncStart, Node: 3, Height: 100},
+		{Kind: EventSyncManifests},
+		{Kind: EventSyncChunks, Node: 5, Height: 152},
+		{Kind: EventSyncInstall, Height: 152},
+		{Kind: EventSyncEnd, Height: 160},
+	}
+	got := tr.SyncEvents()
+	if len(got) != len(want) {
+		t.Fatalf("sync log %+v, want %d events", got, len(want))
+	}
+	for i, e := range got {
+		if e.Time == 0 || e.Kind != want[i].Kind || e.Node != want[i].Node || e.Height != want[i].Height {
+			t.Fatalf("sync event %d = %+v, want %+v", i, e, want[i])
+		}
+	}
+	for h := uint64(1); h <= syncLogCap; h++ {
+		tr.OnSync(EventSyncEnd, 0, 1000+h)
+	}
+	got = tr.SyncEvents()
+	if len(got) != syncLogCap || got[0].Height != 1001 || got[syncLogCap-1].Height != 1000+syncLogCap {
+		t.Fatalf("sync log holds %d events from height %d, want the newest %d", len(got), got[0].Height, syncLogCap)
+	}
+}
+
 func TestViewEnteredSelfLeader(t *testing.T) {
 	tr := New(3, 8, 8)
 	tr.OnViewEntered(5, 2)
