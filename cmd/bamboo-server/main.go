@@ -103,11 +103,7 @@ func run() error {
 		replicas = append(replicas, rid)
 	}
 	sort.Slice(replicas, func(i, j int) bool { return replicas[i] < replicas[j] })
-	cond := network.NewConditions(cfg.Seed)
-	cond.SetBaseDelay(cfg.Delay, cfg.DelayStd)
-	if cfg.Bandwidth > 0 {
-		cond.SetBandwidth(cfg.Bandwidth)
-	}
+	cond := network.ConditionsFor(cfg)
 	shim := network.Condition(transport, cond, replicas)
 	// Persist the committed chain by default: the ledger is both the
 	// crash-recovery record and what this replica serves deep

@@ -123,11 +123,7 @@ func New(cfg config.Config, opts Options) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	cond := network.NewConditions(cfg.Seed)
-	cond.SetBaseDelay(cfg.Delay, cfg.DelayStd)
-	if cfg.Bandwidth > 0 {
-		cond.SetBandwidth(cfg.Bandwidth)
-	}
+	cond := network.ConditionsFor(cfg)
 
 	c := &Cluster{
 		cfg:    cfg,
@@ -357,8 +353,8 @@ func (c *Cluster) ApplyConditions(spec network.ConditionsSpec) {
 
 // Crash silences a replica in the condition model; on the TCP backend
 // it additionally tears down the node's live sockets, so peers observe
-// real connection resets and their reconnect paths run. The harness
-// compiles CrashAt events onto this.
+// real connection resets and their reconnect paths run. A harness
+// fault event's crash list lands here.
 func (c *Cluster) Crash(id types.NodeID) {
 	c.cond.Crash(id)
 	if t, ok := c.tcps[id]; ok {

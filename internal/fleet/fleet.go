@@ -470,6 +470,13 @@ func (f *Fleet) ReplicaResult(id types.NodeID) (httpapi.ReplicaResult, error) {
 	return getJSON[httpapi.ReplicaResult](f, id, "result", "/admin/result")
 }
 
+// CommittedHeight reads the replica's committed height from
+// GET /status, a far lighter read than its result record.
+func (f *Fleet) CommittedHeight(id types.NodeID) (uint64, error) {
+	st, err := getJSON[struct{ CommittedHeight uint64 }](f, id, "status", "/status")
+	return st.CommittedHeight, err
+}
+
 // Metrics scrapes the replica's Prometheus text exposition
 // (GET /metrics) — the fleet-wide telemetry plane's raw material, and
 // what CI's fleet-smoke asserts parses from a live server process.

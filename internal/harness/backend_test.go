@@ -153,7 +153,7 @@ func TestLoadExperimentDefaultsAndValidation(t *testing.T) {
 
 	exp, err := LoadExperiment(write("nightly.json", `{
 		"config": {"n": 5, "protocol": "hotstuff"},
-		"faults": [{"at": 1000000, "kind": "crash", "nodes": [2]}],
+		"faults": [{"at": 1000000, "crash": [2]}],
 		"measure": {"window": 1000000000}
 	}`))
 	if err != nil {
@@ -170,7 +170,7 @@ func TestLoadExperimentDefaultsAndValidation(t *testing.T) {
 		"unknown-field": `{"config": {"n": 4, "protocol": "hotstuff"}, "windwo": 5}`,
 		"bad-backend":   `{"backend": "udp", "config": {"n": 4, "protocol": "hotstuff"}}`,
 		"bad-config":    `{"config": {"n": 2, "protocol": "hotstuff"}}`,
-		"bad-fault":     `{"config": {"n": 4, "protocol": "hotstuff"}, "faults": [{"at": 1, "kind": "crash"}]}`,
+		"bad-fault":     `{"config": {"n": 4, "protocol": "hotstuff"}, "faults": [{"at": 1, "crash": []}]}`,
 		"trailing":      `{"config": {"n": 4, "protocol": "hotstuff"}} {"again": true}`,
 		"not-json":      `scenario?`,
 	}
@@ -197,15 +197,25 @@ func TestCommittedScenarioStaysValid(t *testing.T) {
 	}
 	// The CI gate's value hangs on the schedule actually exercising
 	// partition/heal and crash/restart; keep the file honest.
-	kinds := map[string]bool{}
-	for _, ev := range exp.Faults {
-		kinds[ev.Kind] = true
-	}
-	for _, want := range []string{FaultPartition, FaultHeal, FaultCrash, FaultRestart} {
-		if !kinds[want] {
+	legs := faultLegs(exp.Faults)
+	for _, want := range []string{"partition", "heal", "crash", "restart"} {
+		if !legs[want] {
 			t.Fatalf("committed scenario lost its %s event", want)
 		}
 	}
+}
+
+// faultLegs names the condition changes a schedule declares somewhere:
+// "partition", "heal", "crash" and "restart".
+func faultLegs(s FaultSchedule) map[string]bool {
+	legs := map[string]bool{}
+	for _, ev := range s {
+		legs["partition"] = legs["partition"] || len(ev.Partition) > 0
+		legs["heal"] = legs["heal"] || ev.Heal
+		legs["crash"] = legs["crash"] || len(ev.Crash) > 0
+		legs["restart"] = legs["restart"] || len(ev.Restart) > 0
+	}
+	return legs
 }
 
 // TestCommittedFleetScenarioStaysValid guards the fleet-smoke CI
@@ -223,12 +233,9 @@ func TestCommittedFleetScenarioStaysValid(t *testing.T) {
 	if exp.Backend != BackendFleet {
 		t.Fatalf("scenario backend %q, want %q", exp.Backend, BackendFleet)
 	}
-	kinds := map[string]bool{}
-	for _, ev := range exp.Faults {
-		kinds[ev.Kind] = true
-	}
-	for _, want := range []string{FaultCrash, FaultRestart} {
-		if !kinds[want] {
+	legs := faultLegs(exp.Faults)
+	for _, want := range []string{"crash", "restart"} {
+		if !legs[want] {
 			t.Fatalf("committed scenario lost its %s event", want)
 		}
 	}

@@ -39,6 +39,9 @@ type deployment interface {
 	// replica reads one replica's result slice; an error means the
 	// replica is unreachable.
 	replica(id types.NodeID) (httpapi.ReplicaResult, error)
+	// height reads one replica's committed height, as cheaply as the
+	// backend allows; an error means the replica is unreachable.
+	height(id types.NodeID) (uint64, error)
 	// traffic reads the message counters the window differences, given
 	// the observer's record.
 	traffic(observer httpapi.ReplicaResult) (msgs, bytes uint64)
@@ -106,6 +109,10 @@ func (d *inProcess) newClient() (loadClient, error) {
 
 func (d *inProcess) replica(id types.NodeID) (httpapi.ReplicaResult, error) {
 	return httpapi.ResultOf(d.Node(id)), nil
+}
+
+func (d *inProcess) height(id types.NodeID) (uint64, error) {
+	return d.Node(id).Status().CommittedHeight, nil
 }
 
 // traffic is deployment-wide in-process: switch-wide on the switch,

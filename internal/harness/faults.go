@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -9,84 +10,75 @@ import (
 	"github.com/bamboo-bft/bamboo/internal/types"
 )
 
-// Fault event kinds. Each compiles onto one network.Conditions call
-// when its offset elapses.
-const (
-	FaultPartition = "partition"
-	FaultHeal      = "heal"
-	FaultCrash     = "crash"
-	FaultRestart   = "restart"
-	FaultFluctuate = "fluctuate"
-	FaultDelay     = "delay"
-	FaultDrop      = "drop"
-)
-
-// FaultEvent is one timed entry of a fault schedule: at offset At
-// from experiment start, the named condition change is applied. Build
-// events with the *At constructors; the fields are exported so a
-// schedule survives a JSON round trip.
+// FaultEvent is one timed entry of a fault schedule: at offset At from
+// experiment start, the embedded condition change — the same
+// network.ConditionsSpec a fleet's POST /admin/conditions takes — is
+// applied, then the Crash replicas stop, then the Restart replicas come
+// back. The JSON is flat: {"at": 300000000, "partition": {"1": 1}},
+// {"at": …, "heal": true}, {"at": …, "crash": [2]}. Build events with
+// the *At constructors.
+//
+// FaultEvent's own Apply, Validate and Empty shadow the embedded
+// spec's and cover the whole event, crashes and restarts included;
+// Merge, promoted from the spec, covers only the condition change.
 type FaultEvent struct {
 	// At is the offset from experiment (cluster) start.
 	At time.Duration `json:"at"`
-	// Kind names the condition change (Fault* constants).
-	Kind string `json:"kind"`
-	// Groups maps nodes to partition groups (partition events).
-	Groups map[types.NodeID]int `json:"groups,omitempty"`
-	// Nodes lists the affected replicas (crash/restart/delay events).
-	Nodes []types.NodeID `json:"nodes,omitempty"`
-	// Dur bounds a fluctuation window.
-	Dur time.Duration `json:"dur,omitempty"`
-	// Min and Max bound the uniform fluctuation delay.
-	Min time.Duration `json:"min,omitempty"`
-	Max time.Duration `json:"max,omitempty"`
-	// Mean and Std shape a per-node extra delay (delay events).
-	Mean time.Duration `json:"mean,omitempty"`
-	Std  time.Duration `json:"std,omitempty"`
-	// Rate is the message drop probability (drop events).
-	Rate float64 `json:"rate,omitempty"`
+	network.ConditionsSpec
+	// Crash silences the listed replicas: they neither send nor
+	// receive until restarted.
+	Crash []types.NodeID `json:"crash,omitempty"`
+	// Restart undoes a crash of the listed replicas.
+	Restart []types.NodeID `json:"restart,omitempty"`
 }
 
 // PartitionAt splits the cluster into the given groups at offset at;
 // messages cross group boundaries only between nodes sharing a group
 // (unlisted nodes are group 0).
 func PartitionAt(at time.Duration, groups map[types.NodeID]int) FaultEvent {
-	return FaultEvent{At: at, Kind: FaultPartition, Groups: groups}
+	return FaultEvent{At: at, ConditionsSpec: network.ConditionsSpec{Partition: groups}}
 }
 
 // HealAt removes every partition at offset at.
 func HealAt(at time.Duration) FaultEvent {
-	return FaultEvent{At: at, Kind: FaultHeal}
+	return FaultEvent{At: at, ConditionsSpec: network.ConditionsSpec{Heal: true}}
 }
 
 // CrashAt silences the named replicas at offset at: they neither send
 // nor receive until restarted.
 func CrashAt(at time.Duration, nodes ...types.NodeID) FaultEvent {
-	return FaultEvent{At: at, Kind: FaultCrash, Nodes: nodes}
+	return FaultEvent{At: at, Crash: nodes}
 }
 
 // RestartAt undoes a crash of the named replicas at offset at.
 func RestartAt(at time.Duration, nodes ...types.NodeID) FaultEvent {
-	return FaultEvent{At: at, Kind: FaultRestart, Nodes: nodes}
+	return FaultEvent{At: at, Restart: nodes}
 }
 
 // FluctuateAt replaces the base link delay with Uniform(min, max) for
 // dur starting at offset at — the responsiveness experiment's network
 // fluctuation.
 func FluctuateAt(at, dur, min, max time.Duration) FaultEvent {
-	return FaultEvent{At: at, Kind: FaultFluctuate, Dur: dur, Min: min, Max: max}
+	return FaultEvent{At: at, ConditionsSpec: network.ConditionsSpec{
+		Fluctuate: &network.FluctuateSpec{Dur: dur, Min: min, Max: max},
+	}}
 }
 
 // SetDelayAt adds Normal(mean, std) delay to every message the named
 // replicas send, from offset at — the paper's "slow" run-time
 // command. Zero mean and std clears a previous delay.
 func SetDelayAt(at time.Duration, mean, std time.Duration, nodes ...types.NodeID) FaultEvent {
-	return FaultEvent{At: at, Kind: FaultDelay, Mean: mean, Std: std, Nodes: nodes}
+	ev := FaultEvent{At: at}
+	for _, id := range nodes {
+		ev.Delays = append(ev.Delays, network.NodeDelaySpec{Node: id, Mean: mean, Std: std})
+	}
+	return ev
 }
 
 // SetDropRateAt makes every message independently lost with
 // probability rate from offset at.
 func SetDropRateAt(at time.Duration, rate float64) FaultEvent {
-	return FaultEvent{At: at, Kind: FaultDrop, Rate: rate}
+	return FaultEvent{At: at, ConditionsSpec: network.ConditionsSpec{DropRate: &rate}}
 }
 
 // FaultSchedule is an ordered set of timed fault events. Events fire
@@ -96,111 +88,60 @@ type FaultSchedule []FaultEvent
 // Validate reports the first malformed event.
 func (s FaultSchedule) Validate() error {
 	for i, ev := range s {
-		switch ev.Kind {
-		case FaultPartition, FaultHeal, FaultCrash, FaultRestart,
-			FaultFluctuate, FaultDelay, FaultDrop:
-		default:
-			return fmt.Errorf("harness: fault event %d has unknown kind %q", i, ev.Kind)
-		}
-		if ev.At < 0 {
-			return fmt.Errorf("harness: fault event %d (%s) has negative offset", i, ev.Kind)
-		}
-		if ev.Kind == FaultFluctuate {
-			if ev.Dur <= 0 {
-				return fmt.Errorf("harness: fluctuate event %d needs a positive duration", i)
-			}
-			if ev.Min > ev.Max {
-				return fmt.Errorf("harness: fluctuate event %d has min %v above max %v", i, ev.Min, ev.Max)
-			}
-		}
-		switch ev.Kind {
-		case FaultCrash, FaultRestart, FaultDelay:
-			// An event that names no replicas would fire as a silent
-			// no-op — a typo'd scenario must not run "green".
-			if len(ev.Nodes) == 0 {
-				return fmt.Errorf("harness: %s event %d names no replicas", ev.Kind, i)
-			}
-		case FaultPartition:
-			// Empty groups put every node back in group 0, i.e. a
-			// fully connected network — the same silent no-op.
-			if len(ev.Groups) == 0 {
-				return fmt.Errorf("harness: partition event %d declares no groups", i)
-			}
-		}
-		if ev.Rate < 0 || ev.Rate > 1 {
-			return fmt.Errorf("harness: drop event %d rate %v outside [0,1]", i, ev.Rate)
+		if err := ev.Validate(); err != nil {
+			return fmt.Errorf("harness: fault event %d: %w", i, err)
 		}
 	}
 	return nil
 }
 
-// FaultTarget is the deployment surface a schedule fires against.
-// Partition, delay, drop, and fluctuation events compile into one
-// declarative network.ConditionsSpec each and land on ApplyConditions
-// — the in-process cluster applies the spec to its shared condition
-// model, a fleet fans it out to every server's admin endpoint. Crash
-// and restart go through their own methods so a backend can give them
-// transport- or process-level consequences: the TCP cluster tears down
-// the crashed node's sockets, the fleet SIGKILLs and re-execs the
-// child process. cluster.Cluster and fleet.Fleet implement it.
+// Validate reports what is malformed in the event. An event that
+// declares nothing — a crash naming no replicas, a partition with no
+// groups — would fire as a silent no-op: a typo'd scenario must not
+// run "green".
+func (ev FaultEvent) Validate() error {
+	switch {
+	case ev.At < 0:
+		return errors.New("negative offset")
+	case ev.Empty():
+		return errors.New("changes nothing")
+	case ev.Partition != nil && len(ev.Partition) == 0:
+		return errors.New("partition with no groups")
+	}
+	return ev.ConditionsSpec.Validate()
+}
+
+// Empty reports whether the event changes nothing: no condition
+// change, no crash, no restart.
+func (ev FaultEvent) Empty() bool {
+	return ev.ConditionsSpec.Empty() && len(ev.Crash) == 0 && len(ev.Restart) == 0
+}
+
+// FaultTarget is the deployment surface a schedule fires against. An
+// event's condition change lands on ApplyConditions — the in-process
+// cluster applies the spec to its shared condition model, a fleet fans
+// it out to every server's admin endpoint. Crash and restart go
+// through their own methods so a backend can give them transport- or
+// process-level consequences: the TCP cluster tears down the crashed
+// node's sockets, the fleet SIGKILLs and re-execs the child process.
+// cluster.Cluster and fleet.Fleet implement it.
 type FaultTarget interface {
 	ApplyConditions(network.ConditionsSpec)
 	Crash(types.NodeID)
 	Restart(types.NodeID)
 }
 
-// conditionsTarget adapts a bare condition model — crash and restart
-// have no transport to touch. Tests (and any condition-only caller)
-// use it.
-type conditionsTarget struct{ cond *network.Conditions }
-
-func (t conditionsTarget) ApplyConditions(spec network.ConditionsSpec) {
-	spec.Apply(t.cond, time.Now())
-}
-func (t conditionsTarget) Crash(id types.NodeID)   { t.cond.Crash(id) }
-func (t conditionsTarget) Restart(id types.NodeID) { t.cond.Restart(id) }
-
-// ConditionsSpec compiles the event into the declarative condition
-// change it means, or a zero spec for crash/restart events (which fire
-// through the target's own methods).
-func (ev FaultEvent) ConditionsSpec() network.ConditionsSpec {
-	switch ev.Kind {
-	case FaultPartition:
-		return network.ConditionsSpec{Partition: ev.Groups}
-	case FaultHeal:
-		return network.ConditionsSpec{Heal: true}
-	case FaultFluctuate:
-		return network.ConditionsSpec{Fluctuate: &network.FluctuateSpec{
-			Dur: ev.Dur, Min: ev.Min, Max: ev.Max,
-		}}
-	case FaultDelay:
-		spec := network.ConditionsSpec{}
-		for _, id := range ev.Nodes {
-			spec.Delays = append(spec.Delays, network.NodeDelaySpec{
-				Node: id, Mean: ev.Mean, Std: ev.Std,
-			})
-		}
-		return spec
-	case FaultDrop:
-		rate := ev.Rate
-		return network.ConditionsSpec{DropRate: &rate}
+// Apply fires the event onto the target: the condition change, then
+// the crashes, then the restarts.
+func (ev FaultEvent) Apply(target FaultTarget) {
+	if !ev.ConditionsSpec.Empty() {
+		target.ApplyConditions(ev.ConditionsSpec)
 	}
-	return network.ConditionsSpec{}
-}
-
-// apply compiles one event onto the target at fire time.
-func (ev FaultEvent) apply(target FaultTarget) {
-	switch ev.Kind {
-	case FaultCrash:
-		for _, id := range ev.Nodes {
-			target.Crash(id)
-		}
-	case FaultRestart:
-		for _, id := range ev.Nodes {
-			target.Restart(id)
-		}
-	default:
-		target.ApplyConditions(ev.ConditionsSpec())
+	for _, id := range ev.Crash {
+		target.Crash(id)
+	}
+	for _, id := range ev.Restart {
+		target.Restart(id)
 	}
 }
 
@@ -231,7 +172,7 @@ func (s FaultSchedule) run(target FaultTarget, start time.Time,
 			case <-timer.C:
 			}
 		}
-		ev.apply(target)
+		ev.Apply(target)
 		if onFire != nil {
 			onFire(ev)
 		}

@@ -118,6 +118,10 @@ func (d *fleetDeployment) replica(id types.NodeID) (httpapi.ReplicaResult, error
 	return d.f.ReplicaResult(id)
 }
 
+func (d *fleetDeployment) height(id types.NodeID) (uint64, error) {
+	return d.f.CommittedHeight(id)
+}
+
 // traffic is the observer endpoint's own: the fleet has no
 // deployment-wide counter to window.
 func (d *fleetDeployment) traffic(observer httpapi.ReplicaResult) (msgs, bytes uint64) {

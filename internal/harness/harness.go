@@ -71,9 +71,9 @@ type Experiment struct {
 	// "switch" for the in-process channel switch, "tcp" for one real
 	// loopback listener per replica, "fleet" for one bamboo-server OS
 	// process per replica. The fault schedule means the same thing on
-	// all of them — partitions, delays, and drops compile into
-	// condition-model changes (applied directly in-process, pushed over
-	// each server's admin endpoint on the fleet), while crashes
+	// all of them — an event's condition change lands on the
+	// condition model (applied directly in-process, pushed over each
+	// server's admin endpoint on the fleet), while crashes
 	// escalate with the backend: condition marks on the switch, socket
 	// teardown on TCP, SIGKILL and re-exec on the fleet — so the same
 	// declared experiment yields comparable Results on any backend.
@@ -334,14 +334,16 @@ func (e *Experiment) Validate() error {
 	// Events naming replicas outside the cluster would fire as
 	// silent no-ops (crashing node 99 of 4 marks nobody).
 	for i, ev := range e.Faults {
-		for _, id := range ev.Nodes {
+		named := append(append([]types.NodeID{}, ev.Crash...), ev.Restart...)
+		for id := range ev.Partition {
+			named = append(named, id)
+		}
+		for _, d := range ev.Delays {
+			named = append(named, d.Node)
+		}
+		for _, id := range named {
 			if id < 1 || int(id) > e.Config.N {
 				return fmt.Errorf("harness: fault event %d names replica %s outside n=%d", i, id, e.Config.N)
-			}
-		}
-		for id := range ev.Groups {
-			if id < 1 || int(id) > e.Config.N {
-				return fmt.Errorf("harness: fault event %d partitions replica %s outside n=%d", i, id, e.Config.N)
 			}
 		}
 	}
@@ -633,23 +635,28 @@ func runStep(exp Experiment, d deployment, epoch time.Time, concurrency int, rat
 	joinFaults()
 	stopLoad()
 
+	// The recovery verdict reads every committed height in one
+	// concurrent pass before the heavy records: a fast chain commits a
+	// keep window's worth of blocks in milliseconds, so heights read
+	// at the pace of the record reads would differ by read timing
+	// alone. A replica unreachable at the end reads height 0 and fails
+	// the verdict — the correct reading of "the scenario ended with a
+	// replica dead".
+	res.Heights = heights(d, n)
 	// Merge every replica's record into the deployment-wide result:
-	// counters summed, ratio metrics averaged over honest replicas,
-	// heights into the recovery verdict. A replica unreachable at the
-	// end keeps a zero record: its height 0 fails the recovery verdict
-	// — the correct reading of "the scenario ended with a replica
-	// dead" — and it sits out the chain merge and the agreement check.
+	// counters summed, ratio metrics averaged over honest replicas. A
+	// replica unreachable at the end keeps a zero record and sits out
+	// the chain merge and the agreement check.
 	final, reached, _ := collect(d, n)
 	var chain metrics.ChainStats
 	var pipeline metrics.PipelineStats
 	var honest []types.NodeID
 	var honestHeights []uint64
-	res.Heights = make([]uint64, n)
 	snapHeights := make([]uint64, n)
 	syncEvents := make([][]trace.Event, n)
 	res.SyncEvents = nil
 	for i, rr := range final {
-		res.Heights[i], snapHeights[i] = rr.CommittedHeight, rr.SnapshotHeight
+		snapHeights[i] = rr.SnapshotHeight
 		if syncEvents[i] = rr.SyncEvents; len(rr.SyncEvents) > 0 {
 			res.SyncEvents = syncEvents
 		}
@@ -707,6 +714,24 @@ func collect(d deployment, n int) (recs []httpapi.ReplicaResult, reached []bool,
 	}
 	wg.Wait()
 	return recs, reached, errs[n-1]
+}
+
+// heights reads every replica's committed height, all at once for
+// the reason collect gives; an unreachable replica reads 0.
+func heights(d deployment, n int) []uint64 {
+	hs := make([]uint64, n)
+	var wg sync.WaitGroup
+	for i := range hs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if h, err := d.height(types.NodeID(i + 1)); err == nil {
+				hs[i] = h
+			}
+		}()
+	}
+	wg.Wait()
+	return hs
 }
 
 // sampleSeries reads the observer's committed transaction count at

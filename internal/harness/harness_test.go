@@ -216,9 +216,9 @@ func TestValidateRejects(t *testing.T) {
 	}{
 		{"unknown workload kind", func(e *Experiment) { e.Workload.Kind = "mystery" }},
 		{"bad write ratio", func(e *Experiment) { e.Workload = workload.Spec{Kind: workload.KindKV, WriteRatio: 2} }},
-		{"unknown fault kind", func(e *Experiment) { e.Faults = FaultSchedule{{Kind: "meteor"}} }},
-		{"negative fault offset", func(e *Experiment) { e.Faults = FaultSchedule{{At: -time.Second, Kind: FaultHeal}} }},
-		{"fluctuate without duration", func(e *Experiment) { e.Faults = FaultSchedule{{Kind: FaultFluctuate}} }},
+		{"fault event declaring nothing", func(e *Experiment) { e.Faults = FaultSchedule{{At: time.Second}} }},
+		{"negative fault offset", func(e *Experiment) { e.Faults = FaultSchedule{HealAt(-time.Second)} }},
+		{"fluctuate without duration", func(e *Experiment) { e.Faults = FaultSchedule{FluctuateAt(0, 0, 0, 0)} }},
 		{"fluctuate min above max", func(e *Experiment) {
 			e.Faults = FaultSchedule{FluctuateAt(time.Second, time.Second, 100*time.Millisecond, 10*time.Millisecond)}
 		}},
@@ -226,10 +226,14 @@ func TestValidateRejects(t *testing.T) {
 		{"crash out of range", func(e *Experiment) { e.Faults = FaultSchedule{CrashAt(time.Second, 99)} }},
 		{"delay without replicas", func(e *Experiment) { e.Faults = FaultSchedule{SetDelayAt(time.Second, time.Millisecond, 0)} }},
 		{"partition without groups", func(e *Experiment) { e.Faults = FaultSchedule{PartitionAt(time.Second, nil)} }},
+		{"partition with empty groups", func(e *Experiment) {
+			e.Faults = FaultSchedule{PartitionAt(time.Second, map[types.NodeID]int{})}
+		}},
+		{"delay out of range", func(e *Experiment) { e.Faults = FaultSchedule{SetDelayAt(time.Second, time.Millisecond, 0, 5)} }},
 		{"partition out of range", func(e *Experiment) {
 			e.Faults = FaultSchedule{PartitionAt(time.Second, map[types.NodeID]int{9: 1})}
 		}},
-		{"drop rate out of range", func(e *Experiment) { e.Faults = FaultSchedule{{Kind: FaultDrop, Rate: 1.5}} }},
+		{"drop rate out of range", func(e *Experiment) { e.Faults = FaultSchedule{SetDropRateAt(0, 1.5)} }},
 		{"unknown election", func(e *Experiment) { e.Election = "sortition" }},
 		{"non-positive level", func(e *Experiment) { e.Measure.Levels = []int{4, 0} }},
 		{"non-positive rate", func(e *Experiment) { e.Measure.Rates = []float64{100, -5} }},

@@ -177,6 +177,7 @@ func TestScenarioErrorsNameField(t *testing.T) {
 		{"syntax error carries line", "{\n  \"name\": \"x\",\n  oops\n}", ":3:"},
 		{"unknown field named", `{"measure": {"spice": 11}}`, `"spice"`},
 		{"unknown section named", `{"telemetry": true}`, `"telemetry"`},
+		{"old-format fault event names kind", `{"faults": [{"at": 1, "kind": "heal"}]}`, `"kind"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

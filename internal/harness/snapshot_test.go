@@ -151,12 +151,9 @@ func TestCommittedSnapshotScenarioStaysValid(t *testing.T) {
 	}
 	// The CI gate's value hangs on a deep partition (compacted
 	// history) plus a crash/restart leg; keep the file honest.
-	kinds := map[string]bool{}
-	for _, ev := range exp.Faults {
-		kinds[ev.Kind] = true
-	}
-	for _, want := range []string{FaultPartition, FaultHeal, FaultCrash, FaultRestart} {
-		if !kinds[want] {
+	legs := faultLegs(exp.Faults)
+	for _, want := range []string{"partition", "heal", "crash", "restart"} {
+		if !legs[want] {
 			t.Fatalf("committed scenario lost its %s event", want)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -46,6 +47,15 @@ type fakeDeployment struct {
 	perBucket        uint64
 	failFrom, failTo time.Duration
 	failedReads      atomic.Int32
+
+	// With climb set, every replica's committed height grows by climb
+	// blocks per second since epoch. Record reads take readDelay each,
+	// one at a time; height reads take heightDelay each and overlap,
+	// as reads of separate server processes do on the fleet.
+	climb       float64
+	readDelay   time.Duration
+	readMu      sync.Mutex
+	heightDelay time.Duration
 
 	recs    []httpapi.ReplicaResult // index is replica ID minus one
 	down    map[types.NodeID]bool   // unreachable replicas
@@ -92,7 +102,13 @@ func (d *fakeDeployment) replica(id types.NodeID) (httpapi.ReplicaResult, error)
 	if d.down[id] {
 		return httpapi.ReplicaResult{}, errors.New("unreachable")
 	}
+	if d.readDelay > 0 {
+		d.readMu.Lock()
+		defer d.readMu.Unlock()
+		time.Sleep(d.readDelay)
+	}
 	rr := d.recs[id-1]
+	rr.CommittedHeight = d.heightNow(id)
 	if d.perBucket > 0 && int(id) == len(d.recs) {
 		since := time.Since(d.epoch)
 		if since >= d.failFrom && since < d.failTo {
@@ -102,6 +118,18 @@ func (d *fakeDeployment) replica(id types.NodeID) (httpapi.ReplicaResult, error)
 		rr.Chain.TxCommitted = uint64(float64(d.perBucket) * float64(since) / float64(d.bucket))
 	}
 	return rr, nil
+}
+
+func (d *fakeDeployment) height(id types.NodeID) (uint64, error) {
+	if d.down[id] {
+		return 0, errors.New("unreachable")
+	}
+	time.Sleep(d.heightDelay)
+	return d.heightNow(id), nil
+}
+
+func (d *fakeDeployment) heightNow(id types.NodeID) uint64 {
+	return d.recs[id-1].CommittedHeight + uint64(d.climb*time.Since(d.epoch).Seconds())
 }
 
 func (d *fakeDeployment) traffic(httpapi.ReplicaResult) (uint64, uint64) { return 0, 0 }
@@ -185,6 +213,43 @@ func TestStepIdleClientZeroDispersion(t *testing.T) {
 	}
 	if !res.Recovered {
 		t.Fatalf("equal heights %v must read as recovered", res.Heights)
+	}
+}
+
+// TestStepRecoveryIgnoresReadTiming: on a chain that climbs two keep
+// windows during each record read, with record reads served one at a
+// time, every replica is at the same height at every instant, so the
+// run must read as recovered.
+func TestStepRecoveryIgnoresReadTiming(t *testing.T) {
+	exp := fakeExperiment()
+	d := newFake(exp.Config.N, 1000)
+	d.epoch, d.readDelay = time.Now(), 20*time.Millisecond
+	d.climb = float64(2*exp.Config.KeepWindow()) / d.readDelay.Seconds()
+	res := &Result{}
+	if _, err := runStep(exp, d, d.epoch, 1, 0, res); err != nil {
+		t.Fatal(err)
+	}
+	if !res.Recovered {
+		t.Fatalf("heights %v read as not recovered", res.Heights)
+	}
+}
+
+// TestStepRecoveryIgnoresSlowHeightReads: on a chain that climbs a
+// keep window during each height read, with every read slow (an HTTP
+// round trip to a busy server on the fleet), heights read one replica
+// after another would spread over several keep windows; read all at
+// once, the run reads as recovered.
+func TestStepRecoveryIgnoresSlowHeightReads(t *testing.T) {
+	exp := fakeExperiment()
+	d := newFake(exp.Config.N, 1000)
+	d.epoch, d.heightDelay = time.Now(), 100*time.Millisecond
+	d.climb = float64(exp.Config.KeepWindow()) / d.heightDelay.Seconds()
+	res := &Result{}
+	if _, err := runStep(exp, d, d.epoch, 1, 0, res); err != nil {
+		t.Fatal(err)
+	}
+	if !res.Recovered {
+		t.Fatalf("heights %v read as not recovered", res.Heights)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/bamboo-bft/bamboo/internal/config"
 	"github.com/bamboo-bft/bamboo/internal/types"
 )
 
@@ -49,6 +50,17 @@ func NewConditions(seed int64) *Conditions {
 		groups:  make(map[types.NodeID]int),
 		crashed: make(map[types.NodeID]bool),
 	}
+}
+
+// ConditionsFor builds a run's base condition model from its
+// configuration: seeded by cfg.Seed, with the configured base link
+// delay (Table I "delay") and per-NIC bandwidth (zero disables the
+// charge).
+func ConditionsFor(cfg config.Config) *Conditions {
+	c := NewConditions(cfg.Seed)
+	c.SetBaseDelay(cfg.Delay, cfg.DelayStd)
+	c.SetBandwidth(cfg.Bandwidth)
+	return c
 }
 
 // SetBaseDelay sets the Normal(mean, std) per-message link delay

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/bamboo-bft/bamboo/internal/config"
 	"github.com/bamboo-bft/bamboo/internal/types"
 )
 
@@ -94,6 +95,18 @@ func TestJudgePerNodeDelayAddsToBase(t *testing.T) {
 	// Only the sender's slow setting applies.
 	if v := c.judge(2, 1, 10, time.Now()); v.delay != 5*time.Millisecond {
 		t.Fatalf("receiver-side delay applied: %v", v.delay)
+	}
+}
+
+// TestConditionsForConfig: the run's base model carries the
+// configured link delay and bandwidth charge.
+func TestConditionsForConfig(t *testing.T) {
+	cfg := config.Default()
+	cfg.Delay, cfg.DelayStd, cfg.Bandwidth = 5*time.Millisecond, 0, 1<<20
+	c := ConditionsFor(cfg)
+	// 5 ms base plus 2·(512 KiB)/(1 MiB/s) = 1 s.
+	if v := c.judge(1, 2, 1<<19, time.Now()); v.delay < 1003*time.Millisecond || v.delay > 1007*time.Millisecond {
+		t.Fatalf("delay %v, want ≈1.005s", v.delay)
 	}
 }
 

@@ -8,12 +8,12 @@ import (
 )
 
 // ConditionsSpec is a declarative condition change: the JSON body of a
-// fleet's POST /admin/conditions and the currency the harness fault
-// scheduler compiles events into. One spec carries only the changes it
-// declares — absent fields leave the corresponding condition alone —
-// so a schedule's events translate one-to-one and a fleet supervisor
-// can accumulate the steady-state view it must replay to a replica
-// that rejoins after a crash.
+// fleet's POST /admin/conditions, and the condition part of every
+// harness fault event, which embeds it. One spec carries only the
+// changes it declares — absent fields leave the corresponding
+// condition alone — so a fleet supervisor can accumulate the
+// steady-state view it must replay to a replica that rejoins after a
+// crash.
 //
 // Apply order within one spec: Heal first (so "heal then re-partition"
 // fits a single spec), then partitions, per-node delays, drop rate, and
