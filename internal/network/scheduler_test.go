@@ -132,7 +132,8 @@ func TestSchedulerStopBeforeStart(t *testing.T) {
 }
 
 // TestSchedulerOrdersDeliveries: messages with shorter delays arrive
-// first even when scheduled last.
+// first even when scheduled last, whether the loop has yet to see the
+// earlier deadline or is already waiting on it.
 func TestSchedulerOrdersDeliveries(t *testing.T) {
 	cond := NewConditions(1)
 	s := NewSwitch(cond)
@@ -146,7 +147,7 @@ func TestSchedulerOrdersDeliveries(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Schedule the slow message first, then the fast one: the fast
-	// one must still win the race (the scheduler re-arms its timer
+	// one must still win the race (the scheduler re-arms its timers
 	// for the new earliest deadline).
 	cond.SetBaseDelay(60*time.Millisecond, 0)
 	a.Send(2, "slow")
@@ -156,6 +157,20 @@ func TestSchedulerOrdersDeliveries(t *testing.T) {
 	second := recvWithin(t, b, time.Second)
 	if first.Msg != "fast" || second.Msg != "slow" {
 		t.Fatalf("order: %v then %v", first.Msg, second.Msg)
+	}
+
+	// Now let the loop settle into its wait on the slow deadline
+	// before the fast message arrives. The pause only makes that case
+	// likely; the order holds either way, with 480 ms to spare.
+	cond.SetBaseDelay(500*time.Millisecond, 0)
+	a.Send(2, "slow")
+	time.Sleep(10 * time.Millisecond)
+	cond.SetBaseDelay(10*time.Millisecond, 0)
+	a.Send(2, "fast")
+	first = recvWithin(t, b, 5*time.Second)
+	second = recvWithin(t, b, 5*time.Second)
+	if first.Msg != "fast" || second.Msg != "slow" {
+		t.Fatalf("order after the loop parked: %v then %v", first.Msg, second.Msg)
 	}
 }
 
@@ -257,34 +272,63 @@ func BenchmarkScheduleDeliver(b *testing.B) {
 }
 
 // BenchmarkSwitchIdleHop measures one modelled hop on an otherwise idle
-// process, one message at a time, and reports the median as hop_us.
-// It asserts nothing: the point is the floor it shows. When every P is
-// idle the Go runtime sleeps in whole milliseconds, so a 200 µs hop
-// takes about a millisecond (see docs/observability.md).
+// process, one message at a time, and reports the median as hop_us:
+// through the switch, and through a Conditioned shim (over a zero-delay
+// switch, so the shim's scheduler is the only delay). When every P is
+// idle the Go runtime sleeps in whole milliseconds, so a runtime timer
+// alone turns a 200 µs hop into about 1.1 ms; the scheduler's kernel
+// timer exists to remove that floor. CI's "Gate idle hop precision"
+// step fails when the 200 µs or 500 µs hop's median exceeds 1.3× the
+// modelled delay on either path; the 2 ms hop is reported, not gated
+// (see docs/observability.md).
 func BenchmarkSwitchIdleHop(b *testing.B) {
-	for _, delay := range []time.Duration{200 * time.Microsecond, 500 * time.Microsecond, 2 * time.Millisecond} {
-		b.Run(fmt.Sprintf("delay=%dus", delay.Microseconds()), func(b *testing.B) {
-			cond := NewConditions(1)
-			cond.SetBaseDelay(delay, 0)
-			s := NewSwitch(cond)
-			defer s.Close()
-			a, err := s.Join(1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			dst, err := s.Join(2)
-			if err != nil {
-				b.Fatal(err)
-			}
-			hops := make([]time.Duration, 0, b.N)
-			for i := 0; i < b.N; i++ {
-				t0 := time.Now()
-				a.Send(2, benchVote)
-				<-dst.Inbox()
-				hops = append(hops, time.Since(t0))
-			}
-			sort.Slice(hops, func(i, j int) bool { return hops[i] < hops[j] })
-			b.ReportMetric(float64(hops[len(hops)/2].Nanoseconds())/1e3, "hop_us")
-		})
+	for _, path := range []string{"switch", "conditioned"} {
+		for _, delay := range []time.Duration{200 * time.Microsecond, 500 * time.Microsecond, 2 * time.Millisecond} {
+			b.Run(fmt.Sprintf("%s/delay=%dus", path, delay.Microseconds()), func(b *testing.B) {
+				cond := NewConditions(1)
+				cond.SetBaseDelay(delay, 0)
+				src, dst := idleHopPair(b, path == "conditioned", cond)
+				hops := make([]time.Duration, 0, b.N)
+				for i := 0; i < b.N; i++ {
+					t0 := time.Now()
+					src.Send(2, benchVote)
+					<-dst.Inbox()
+					hops = append(hops, time.Since(t0))
+				}
+				sort.Slice(hops, func(i, j int) bool { return hops[i] < hops[j] })
+				b.ReportMetric(float64(hops[len(hops)/2].Nanoseconds())/1e3, "hop_us")
+			})
+		}
 	}
+}
+
+// idleHopPair returns the sender (node 1) and receiver (node 2) of one
+// modelled link under cond: two switch endpoints, or two Conditioned
+// shims over a zero-delay switch. Everything closes with b.
+func idleHopPair(b *testing.B, conditioned bool, cond *Conditions) (src, dst Transport) {
+	b.Helper()
+	swCond := cond
+	if conditioned {
+		swCond = nil
+	}
+	s := NewSwitch(swCond)
+	b.Cleanup(s.Close)
+	a, err := s.Join(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	d, err := s.Join(2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if !conditioned {
+		return a, d
+	}
+	replicas := []types.NodeID{1, 2}
+	ca, cd := Condition(a, cond, replicas), Condition(d, cond, replicas)
+	b.Cleanup(func() {
+		_ = ca.Close()
+		_ = cd.Close()
+	})
+	return ca, cd
 }

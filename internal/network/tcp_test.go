@@ -59,9 +59,9 @@ func recvSync(t *testing.T, tr *TCP, want uint64, send func()) Envelope {
 }
 
 // goroutineLeaks lists stacks of still-running network goroutines
-// (accept/read/write loops, conditioned pumps, delay schedulers) after
-// polling for up to two seconds — the goleak-style accounting the
-// Stop/Close tests rely on.
+// (accept/read/write loops, conditioned pumps, delay schedulers and
+// their kernel-timer readers) after polling for up to two seconds —
+// the goleak-style accounting the Stop/Close tests rely on.
 func goroutineLeaks(t *testing.T) []string {
 	t.Helper()
 	markers := []string{
@@ -70,6 +70,7 @@ func goroutineLeaks(t *testing.T) []string {
 		"network.(*TCP).writeLoop",
 		"network.(*Conditioned).pump",
 		"network.(*scheduler).run",
+		"network.(*kernelTimer).read",
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	var leaked []string
