@@ -248,7 +248,8 @@ func New(cfg config.Config, opts Options) (*Cluster, error) {
 // (ephemeral ports), cross-wires the dial addresses once every
 // transport has bound, and wraps each endpoint in the shared condition
 // model so the declared fault schedule applies identically to both
-// backends.
+// backends. Every shim holds its delayed messages on that model's one
+// scheduler.
 func (c *Cluster) buildTCP() error {
 	ids := make([]types.NodeID, 0, c.cfg.N)
 	for i := 1; i <= c.cfg.N; i++ {
@@ -297,11 +298,12 @@ func (c *Cluster) Start() {
 }
 
 // Stop halts clients first (closing their endpoints), then replicas,
-// then the transport substrate — the switch scheduler, or every TCP
-// listener and connection — then flushes and closes any ledgers. On
-// the TCP backend this leaves no listener or writer goroutine behind
-// and no dial retry spinning (the tests assert it by goroutine
-// accounting). Stop is idempotent: the harness's defer-based teardown
+// then the transports — the switch, or every replica's shim with its
+// TCP listener and connections — then flushes and closes any ledgers.
+// The last transport to close stops the condition model's delivery
+// scheduler. On the TCP backend this leaves no listener, writer or
+// scheduler goroutine behind and no dial retry spinning (the tests
+// assert it by goroutine accounting). Stop is idempotent: the harness's defer-based teardown
 // and explicit shutdown paths may both call it; only the first call
 // acts.
 func (c *Cluster) Stop() {

@@ -12,15 +12,17 @@ import (
 
 // assertNoTransportGoroutines is the goleak-style accounting behind
 // the TCP teardown guarantees: after Stop, no listener, reader,
-// writer, or condition-pump goroutine may survive and no dial retry
-// may keep spinning. It polls because socket teardown is asynchronous.
+// writer, delay-scheduler or kernel-timer goroutine may survive and no
+// dial retry may keep spinning. It polls because socket teardown is
+// asynchronous.
 func assertNoTransportGoroutines(t *testing.T) {
 	t.Helper()
 	markers := []string{
 		"network.(*TCP).acceptLoop",
 		"network.(*TCP).readLoop",
 		"network.(*TCP).writeLoop",
-		"network.(*Conditioned).pump",
+		"network.(*scheduler).run",
+		"network.(*kernelTimer).read",
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for {
@@ -137,6 +139,54 @@ func TestTCPBackendStopLeaksNothing(t *testing.T) {
 	c.Crash(3)
 	c.Stop()
 	c.Stop() // idempotent
+	assertNoTransportGoroutines(t)
+}
+
+// goroutinesNamed counts running goroutines whose stack names marker.
+func goroutinesNamed(marker string) int {
+	buf := make([]byte, 1<<20)
+	n := 0
+	for _, stack := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		if strings.Contains(stack, marker) {
+			n++
+		}
+	}
+	return n
+}
+
+// TestTCPBackendOneScheduler: every shim of a TCP deployment — four
+// replicas and a client — holds its delayed messages on the shared
+// condition model's one scheduler: one loop, and on Linux one
+// kernel-timer reader, while delayed traffic flows, and none after
+// Stop.
+func TestTCPBackendOneScheduler(t *testing.T) {
+	cfg := testConfig(config.ProtocolHotStuff)
+	cfg.Delay = 200 * time.Microsecond
+	c, err := New(cfg, Options{Backend: BackendTCP})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	c.Start()
+	cl, err := c.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl.RunClosedLoop(4, time.Second)
+	if err := c.WaitForHeight(3, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	wantReaders := 0
+	if runtime.GOOS == "linux" {
+		wantReaders = 1
+	}
+	if n := goroutinesNamed("network.(*scheduler).run"); n != 1 {
+		t.Fatalf("%d scheduler loops with delayed traffic flowing, want 1", n)
+	}
+	if n := goroutinesNamed("network.(*kernelTimer).read"); n != wantReaders {
+		t.Fatalf("%d kernel-timer readers with delayed traffic flowing, want %d", n, wantReaders)
+	}
+	c.Stop()
 	assertNoTransportGoroutines(t)
 }
 

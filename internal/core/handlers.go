@@ -147,8 +147,8 @@ func (n *Node) onProposal(from types.NodeID, m types.ProposalMsg, verified bool)
 		}
 	}
 	if n.policy.EchoMessages && from != n.id {
-		if _, seen := n.echoSeen[id]; !seen {
-			n.rememberEcho(id)
+		if key := (echoKey{id: id}); !n.echoed(key) {
+			n.rememberEcho(key)
 			n.net.Broadcast(m)
 		}
 	}
@@ -272,17 +272,25 @@ func (n *Node) onVote(v *types.Vote, verified bool) {
 	if v.View+4 < cur {
 		return // too old to ever matter
 	}
+	// Echoing protocols receive each vote up to n times. The exact
+	// (voter, view, block) key of a vote already checked, counted and
+	// echoed ends each later copy before its signature check.
+	echo := n.policy.EchoMessages && v.Voter != n.id
+	var key echoKey
+	if echo {
+		key = echoKey{id: v.BlockID, view: v.View, voter: v.Voter}
+		if n.echoed(key) {
+			return
+		}
+	}
 	if !verified {
 		if err := n.scheme.Verify(v.Voter, types.SigningDigest(v.View, v.BlockID), v.Sig); err != nil {
 			return
 		}
 	}
-	if n.policy.EchoMessages && v.Voter != n.id {
-		key := echoKeyForVote(v)
-		if _, seen := n.echoSeen[key]; !seen {
-			n.rememberEcho(key)
-			n.net.Broadcast(types.VoteMsg{Vote: v})
-		}
+	if echo {
+		n.rememberEcho(key)
+		n.net.Broadcast(types.VoteMsg{Vote: v})
 	}
 	if qc, formed := n.votes.Add(v); formed {
 		n.handleQC(qc)
@@ -412,6 +420,7 @@ func (n *Node) onLocalTimeout(view types.View) {
 		return
 	}
 	n.broadcastTimeout(view)
+	n.notePendingSets()
 }
 
 // broadcastTimeout signs and disseminates ⟨TIMEOUT, view⟩.
@@ -511,6 +520,7 @@ func (n *Node) onNewView(tc *types.TC) {
 	if view > 4 {
 		n.votes.Prune(view - 4)
 	}
+	n.notePendingSets()
 	n.publishStatus()
 	if n.elect.Leader(view) != n.id {
 		return
@@ -571,22 +581,25 @@ func (n *Node) onFetch(from types.NodeID, m types.FetchMsg) {
 	}
 }
 
-// rememberEcho inserts into the bounded echo cache.
-func (n *Node) rememberEcho(key types.Hash) {
-	if len(n.echoSeen) >= echoSeenLimit {
-		n.echoSeen = make(map[types.Hash]struct{}, echoSeenLimit)
-	}
-	n.echoSeen[key] = struct{}{}
+// echoKey names one echoed message exactly: a proposal by its block
+// ID alone, a vote by its block ID, view and voter. Replica IDs start
+// at 1, so a vote's key never equals a proposal's.
+type echoKey struct {
+	id    types.Hash
+	view  types.View
+	voter types.NodeID
 }
 
-// echoKeyForVote derives a dedup key for a vote echo.
-func echoKeyForVote(v *types.Vote) types.Hash {
-	var key types.Hash
-	copy(key[:], v.BlockID[:])
-	key[0] ^= byte(v.View)
-	key[1] ^= byte(v.View >> 8)
-	key[2] ^= byte(v.Voter)
-	key[3] ^= byte(v.Voter >> 8)
-	key[31] ^= 0xee // domain-separate from proposal echoes
-	return key
+// echoed reports whether the message is in the echo cache.
+func (n *Node) echoed(key echoKey) bool {
+	_, seen := n.echoSeen[key]
+	return seen
+}
+
+// rememberEcho inserts into the bounded echo cache.
+func (n *Node) rememberEcho(key echoKey) {
+	if len(n.echoSeen) >= echoSeenLimit {
+		n.echoSeen = make(map[echoKey]struct{}, echoSeenLimit)
+	}
+	n.echoSeen[key] = struct{}{}
 }

@@ -75,5 +75,7 @@ func (n *Node) declareMetrics() {
 
 	// Pacemaker and safety.
 	r.CounterFunc("bamboo_pacemaker_timeouts_fired_total", "View-timer expirations surfaced by the pacemaker.", n.pm.TimeoutsFired)
+	r.Gauge("bamboo_pending_vote_sets", "Vote sets the quorum aggregator holds: one per (view, block) with votes and no pruning yet.", func() float64 { return float64(n.pendingVoteSets.Load()) })
+	r.Gauge("bamboo_pending_timeout_sets", "Timeout sets the pacemaker holds: one per view with timeouts and no pruning yet.", func() float64 { return float64(n.pendingTimeoutSets.Load()) })
 	n.violations = r.Counter("bamboo_safety_violations_total", "Commit-safety violations the forest reported (must stay 0).")
 }

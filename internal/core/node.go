@@ -123,7 +123,12 @@ type Node struct {
 	// pendingQCs holds certificates for blocks not yet attached.
 	pendingQCs map[types.Hash]*types.QC
 	// echoSeen deduplicates echoed messages (Streamlet).
-	echoSeen map[types.Hash]struct{}
+	echoSeen map[echoKey]struct{}
+	// pendingVoteSets and pendingTimeoutSets mirror the sizes of the
+	// vote and timeout aggregators, which only the event loop reads,
+	// for the /metrics gauges (see notePendingSets).
+	pendingVoteSets    atomic.Int64
+	pendingTimeoutSets atomic.Int64
 	// owned maps transactions this replica accepted to the client
 	// endpoint awaiting the commit reply.
 	owned map[types.TxID]types.NodeID
@@ -230,7 +235,7 @@ func NewNode(id types.NodeID, cfg config.Config, factory safety.Factory,
 		net:        net,
 		scheme:     scheme,
 		pendingQCs: make(map[types.Hash]*types.QC),
-		echoSeen:   make(map[types.Hash]struct{}),
+		echoSeen:   make(map[echoKey]struct{}),
 		owned:      make(map[types.TxID]types.NodeID),
 		trace:      trace.New(id, 0, 0),
 		applyQueue: defaultApplyQueue,
@@ -423,8 +428,10 @@ func (n *Node) dispatch(from types.NodeID, msg any) {
 		n.onProposal(from, m, verified)
 	case types.VoteMsg:
 		n.onVote(m.Vote, verified)
+		n.notePendingSets()
 	case types.TimeoutMsg:
 		n.onTimeoutMsg(m.Timeout, verified)
+		n.notePendingSets()
 	case types.TCMsg:
 		n.onTC(m.TC, !verified)
 	case types.RequestMsg:
@@ -451,6 +458,14 @@ func (n *Node) dispatch(from types.NodeID, msg any) {
 	case proposeEvent:
 		n.propose(m.view, m.tc)
 	}
+}
+
+// notePendingSets publishes how many vote and timeout sets the
+// aggregators hold. The loop calls it after it handles a vote, a
+// timeout or a prune.
+func (n *Node) notePendingSets() {
+	n.pendingVoteSets.Store(int64(n.votes.Size()))
+	n.pendingTimeoutSets.Store(int64(n.pm.PendingTimeoutSets()))
 }
 
 // publishStatus refreshes the cross-thread snapshot.

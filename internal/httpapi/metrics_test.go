@@ -140,6 +140,8 @@ var expositionFamilies = map[string]struct{ typ, labels string }{
 	"bamboo_wal_sync_seconds":               {"histogram", ""},
 	"bamboo_pacemaker_timeouts_fired_total": {"counter", ""},
 	"bamboo_safety_violations_total":        {"counter", ""},
+	"bamboo_pending_vote_sets":              {"gauge", ""},
+	"bamboo_pending_timeout_sets":           {"gauge", ""},
 }
 
 // TestExpositionFamilies scrapes a cluster that has committed blocks

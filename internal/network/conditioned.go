@@ -2,7 +2,6 @@ package network
 
 import (
 	"sync"
-	"time"
 
 	"github.com/bamboo-bft/bamboo/internal/metrics"
 	"github.com/bamboo-bft/bamboo/internal/types"
@@ -11,26 +10,22 @@ import (
 // Conditioned wraps a Transport with the same Conditions model the
 // in-process switch enforces, so a declared fault schedule means the
 // same thing over real sockets as it does in simulation. Every
-// outgoing message is judged at send time (partition and crash drops,
-// random loss, modeled delay). A delayed message waits in the shim's
-// own delivery scheduler — the switch's deadline heap, one goroutine
-// and one timer per shim, started by the first delayed send — and is
-// re-checked at its deadline, so a destination that crashed while it
-// was in flight gets nothing, as on the switch. Incoming traffic is
-// discarded while the local node is crashed. The wrapper leaves the
-// wire format and the underlying transport untouched; it only decides
-// which messages reach it, and when.
+// outgoing message goes through Conditions.route, the switch's own
+// path: it is judged at send time (partition and crash drops, random
+// loss, modeled delay), and a delayed message waits on the model's
+// delivery scheduler — shared by every shim attached to the model —
+// and is re-checked at its deadline, so a destination that crashed
+// while it was in flight gets nothing. A crashed node is silent as on
+// the switch: nothing judged after the crash reaches it, and it still
+// reads what its inbox already held. The wrapper leaves the wire
+// format, the underlying transport and its inbox untouched; it only
+// decides which messages reach the wire, and when.
 type Conditioned struct {
 	inner Transport
 	cond  *Conditions
 	// replicas is the broadcast domain judged per destination; nil for
 	// endpoints that never broadcast (clients).
 	replicas []types.NodeID
-	out      chan Envelope
-	done     chan struct{}
-	wg       sync.WaitGroup
-	// sched holds delayed sends until their deadlines.
-	sched *scheduler
 
 	closeOnce sync.Once
 	dropped   metrics.Counter
@@ -38,49 +33,28 @@ type Conditioned struct {
 
 // Condition wraps inner with the shared condition model.
 func Condition(inner Transport, cond *Conditions, replicas []types.NodeID) *Conditioned {
-	c := &Conditioned{
+	cond.sched.attach()
+	return &Conditioned{
 		inner:    inner,
 		cond:     cond,
 		replicas: append([]types.NodeID(nil), replicas...),
-		out:      make(chan Envelope, inboxCapacity),
-		done:     make(chan struct{}),
 	}
-	c.sched = newScheduler(c.sendDue)
-	c.wg.Add(1)
-	go c.pump()
-	return c
 }
 
 // Self implements Transport.
 func (c *Conditioned) Self() types.NodeID { return c.inner.Self() }
 
-// Send implements Transport, judging the message against the condition
-// model before it reaches the wire. One clock reading serves both the
-// judgement and the deadline.
+// Send implements Transport, applying the condition model before the
+// message reaches the wire.
 func (c *Conditioned) Send(to types.NodeID, msg any) {
-	now := time.Now()
-	v := c.cond.judge(c.inner.Self(), to, messageSize(msg), now)
-	if v.drop {
-		c.dropped.Add(1)
-		return
-	}
-	if v.delay <= 0 {
-		c.inner.Send(to, msg)
-		return
-	}
-	c.sched.schedule(delivery{at: now.Add(v.delay), to: to, msg: msg})
+	c.cond.route(c, c.inner.Self(), to, msg)
 }
 
-// sendDue hands a delayed message to the wire at its deadline. Crash
-// state is re-checked here, like the switch's delivery-time check: a
-// node that crashed mid-flight gets nothing.
-func (c *Conditioned) sendDue(d delivery) {
-	if c.cond.IsCrashed(d.to) {
-		c.dropped.Add(1)
-		return
-	}
-	c.inner.Send(d.to, d.msg)
-}
+// handOff writes a message the model let through to the wire.
+func (c *Conditioned) handOff(_, to types.NodeID, msg any, _ int) { c.inner.Send(to, msg) }
+
+// drop counts a message the model dropped.
+func (c *Conditioned) drop() { c.dropped.Add(1) }
 
 // Broadcast implements Transport, judging each destination separately
 // so a partition can split one broadcast's audience.
@@ -93,36 +67,8 @@ func (c *Conditioned) Broadcast(msg any) {
 	}
 }
 
-// Inbox implements Transport.
-func (c *Conditioned) Inbox() <-chan Envelope { return c.out }
-
-// pump filters the inner inbox: traffic arriving while the local node
-// is crashed is discarded, so a crashed replica is silent in both
-// directions even though its sockets still accept bytes.
-func (c *Conditioned) pump() {
-	defer c.wg.Done()
-	defer close(c.out)
-	self := c.inner.Self()
-	for {
-		select {
-		case <-c.done:
-			return
-		case env, ok := <-c.inner.Inbox():
-			if !ok {
-				return
-			}
-			if c.cond.IsCrashed(self) {
-				c.dropped.Add(1)
-				continue
-			}
-			select {
-			case c.out <- env:
-			case <-c.done:
-				return
-			}
-		}
-	}
-}
+// Inbox implements Transport: the wrapped transport's own inbox.
+func (c *Conditioned) Inbox() <-chan Envelope { return c.inner.Inbox() }
 
 // Stats merges the underlying transport's counters with the messages
 // this shim dropped by condition.
@@ -135,16 +81,15 @@ func (c *Conditioned) Stats() TransportStats {
 	return s
 }
 
-// Close implements Transport: it stops the delay scheduler (pending
-// delayed sends are dropped), closes the underlying transport, and
-// joins the filter goroutine. Safe to call more than once.
+// Close implements Transport: it detaches the shim from the condition
+// model — the last transport to detach stops the model's scheduler and
+// drops the delayed messages it holds — and closes the underlying
+// transport. Safe to call more than once.
 func (c *Conditioned) Close() error {
 	var err error
 	c.closeOnce.Do(func() {
-		close(c.done)
-		c.sched.stop()
+		c.cond.sched.detach()
 		err = c.inner.Close()
-		c.wg.Wait()
 	})
 	return err
 }

@@ -95,7 +95,7 @@ func TestConditionedCrashSilencesBothDirections(t *testing.T) {
 	deliver(t, cb, 1, func() { ca.Send(2, types.SyncRequestMsg{From: 1}) })
 
 	cond.Crash(2)
-	// Inbound to the crashed node dies at its receive filter.
+	// Inbound to the crashed node dies at the sender's judge.
 	mustStaySilent(t, cb, 2, func() { ca.Send(2, types.SyncRequestMsg{From: 2}) })
 	// Outbound from the crashed node dies at its send judge.
 	mustStaySilent(t, ca, 2, func() { cb.Send(1, types.SyncRequestMsg{From: 2}) })
@@ -165,7 +165,7 @@ func TestConditionedDeliversInDeadlineOrder(t *testing.T) {
 
 // TestConditionedDropsAtDeliveryWhenCrashed: a destination that
 // crashes while a delayed message is in flight gets nothing, and the
-// drop is the sender shim's, at the deadline — not the receive filter's.
+// drop is the sender shim's, at the deadline — not the receiver's.
 func TestConditionedDropsAtDeliveryWhenCrashed(t *testing.T) {
 	ca, cb, cond := newConditionedPair(t)
 	deliver(t, cb, 1, func() { ca.Send(2, types.SyncRequestMsg{From: 1}) })
@@ -198,4 +198,90 @@ func TestConditionedCloseStopsScheduler(t *testing.T) {
 	_ = ca.Close()
 	_ = cb.Close()
 	assertNoLeaks(t)
+}
+
+// TestCrashParityBothBackends: a crash means the same on the switch and
+// over TCP. A message already in the crashed replica's inbox is still
+// read. Every message judged after the crash is dropped at send, in
+// both directions, and one judged before it but still held to its
+// deadline is dropped there; the sending link counts each drop (the
+// switch's one counter, or each shim's own). A restart restores
+// delivery.
+func TestCrashParityBothBackends(t *testing.T) {
+	for _, backend := range []string{"switch", "tcp"} {
+		t.Run(backend, func(t *testing.T) {
+			var src, dst Transport
+			var cond *Conditions
+			var dropped func() uint64
+			if backend == "switch" {
+				cond = NewConditions(1)
+				sw := newSwitch(t, cond)
+				src, dst = join(t, sw, 1), join(t, sw, 2)
+				dropped = func() uint64 { _, _, d := sw.Stats(); return d }
+			} else {
+				ca, cb, c := newConditionedPair(t)
+				src, dst, cond = ca, cb, c
+				dropped = func() uint64 { return ca.dropped.Load() + cb.dropped.Load() }
+			}
+			msg := func(n uint64) types.SyncRequestMsg { return types.SyncRequestMsg{From: n} }
+
+			// Message 1 sits unread in the inbox when the crash lands.
+			deadline := time.Now().Add(5 * time.Second)
+			for len(dst.Inbox()) == 0 {
+				if time.Now().After(deadline) {
+					t.Fatal("message 1 never reached the inbox")
+				}
+				src.Send(2, msg(1))
+				time.Sleep(20 * time.Millisecond)
+			}
+			before := dropped()
+			cond.SetNodeDelay(1, 60*time.Millisecond, 0)
+			src.Send(2, msg(2)) // judged before the crash, held to its deadline
+			cond.Crash(2)
+			src.Send(2, msg(3)) // judged after the crash
+			cond.SetNodeDelay(1, 0, 0)
+			src.Send(2, msg(4))
+			dst.Send(1, msg(5)) // from the crashed replica
+			time.Sleep(150 * time.Millisecond)
+			if got := dropped() - before; got != 4 {
+				t.Fatalf("%d messages dropped across the crash, want 4", got)
+			}
+			select {
+			case env := <-src.Inbox():
+				t.Fatalf("the crashed replica's message delivered: %+v", env.Msg)
+			default:
+			}
+			read := 0
+			for len(dst.Inbox()) > 0 {
+				env := <-dst.Inbox()
+				if q, ok := env.Msg.(types.SyncRequestMsg); !ok || q.From != 1 {
+					t.Fatalf("crashed replica read %+v, want only message 1", env.Msg)
+				}
+				read++
+			}
+			if read == 0 {
+				t.Fatal("the message queued before the crash was not read")
+			}
+
+			cond.Restart(2)
+			deadline = time.Now().Add(5 * time.Second)
+			for {
+				src.Send(2, msg(6))
+				select {
+				case env := <-dst.Inbox():
+					q, _ := env.Msg.(types.SyncRequestMsg)
+					if q.From == 6 {
+						return
+					}
+					if q.From != 1 {
+						t.Fatalf("message %d delivered after the restart, judged during the crash", q.From)
+					}
+				case <-time.After(20 * time.Millisecond):
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("no delivery after the restart")
+				}
+			}
+		})
+	}
 }

@@ -15,8 +15,18 @@ import (
 // random loss, partitions, crash faults, and bounded time windows of
 // delay fluctuation (the responsiveness experiment of Section VI-D).
 //
+// Every transport attached to the model — the switch, or a process's
+// Conditioned shims — sends through route, so both backends share one
+// decision and one delivery scheduler.
+//
 // All methods are safe for concurrent use.
 type Conditions struct {
+	// sched holds delayed messages from every attached transport. A
+	// transport attaches when it is built and detaches when it closes;
+	// once the last has closed, the model drops every delayed message,
+	// so a new deployment needs a new model.
+	sched *scheduler
+
 	mu  sync.Mutex
 	rng *rand.Rand
 
@@ -44,12 +54,14 @@ type extraDelay struct {
 
 // NewConditions creates a condition model seeded for reproducibility.
 func NewConditions(seed int64) *Conditions {
-	return &Conditions{
+	c := &Conditions{
 		rng:     rand.New(rand.NewSource(seed)),
 		perNode: make(map[types.NodeID]extraDelay),
 		groups:  make(map[types.NodeID]int),
 		crashed: make(map[types.NodeID]bool),
 	}
+	c.sched = newScheduler(c.deliverDue)
+	return c
 }
 
 // ConditionsFor builds a run's base condition model from its
@@ -149,6 +161,44 @@ func (c *Conditions) Fluctuate(from time.Time, dur time.Duration, min, max time.
 	c.flucFrom, c.flucUntil = from, from.Add(dur)
 	c.flucMin, c.flucMax = min, max
 	c.mu.Unlock()
+}
+
+// A link is where the model hands the messages it lets through: the
+// switch's inboxes, or the transport a Conditioned shim wraps. Every
+// message the model drops is counted on the sending link.
+type link interface {
+	handOff(from, to types.NodeID, msg any, size int)
+	drop()
+}
+
+// route applies the model to one message from -> to sent over via: it
+// is dropped, handed to via at once, or held on the scheduler until
+// its modelled deadline. One clock reading serves both the judgement
+// and the deadline.
+func (c *Conditions) route(via link, from, to types.NodeID, msg any) {
+	size := messageSize(msg)
+	now := time.Now()
+	v := c.judge(from, to, size, now)
+	if v.drop {
+		via.drop()
+		return
+	}
+	if v.delay <= 0 {
+		via.handOff(from, to, msg, size)
+		return
+	}
+	c.sched.schedule(delivery{at: now.Add(v.delay), via: via, from: from, to: to, msg: msg, size: size})
+}
+
+// deliverDue completes a held message at its deadline. The
+// destination's crash is re-checked here, so a node that crashed while
+// the message was in flight gets nothing; the drop is the sender's.
+func (c *Conditions) deliverDue(d delivery) {
+	if c.IsCrashed(d.to) {
+		d.via.drop()
+		return
+	}
+	d.via.handOff(d.from, d.to, d.msg, d.size)
 }
 
 // verdict is the fate of one message.

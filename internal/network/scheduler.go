@@ -8,9 +8,12 @@ import (
 	"github.com/bamboo-bft/bamboo/internal/types"
 )
 
-// delivery is one delayed message awaiting its deadline.
+// delivery is one delayed message awaiting its deadline, and the link
+// that sent it: the model hands it to that link, or counts its drop
+// there.
 type delivery struct {
 	at   time.Time
+	via  link
 	from types.NodeID
 	to   types.NodeID
 	msg  any
@@ -35,10 +38,12 @@ func (h *deliveryHeap) Pop() any {
 
 // scheduler holds delayed messages until their deadlines and hands
 // them to deliver from a single goroutine — the cheap, precise
-// alternative to a runtime timer per message. The switch owns one for
-// the whole in-process network; each Conditioned shim owns one for its
-// outgoing traffic. The goroutine starts with the first scheduled
-// delivery, so a scheduler that never sees a delay costs nothing.
+// alternative to a runtime timer per message. Each Conditions model
+// owns one, shared by every transport attached to the model: the
+// switch, or all the Conditioned shims of one process. The goroutine
+// starts with the first scheduled delivery, so a model that never
+// delays a message costs nothing, and the scheduler stops for good
+// when the last attached transport detaches.
 //
 // The loop waits on one runtime timer, which fires on time while the
 // process is busy. When every P is idle the runtime sleeps in
@@ -51,7 +56,7 @@ func (h *deliveryHeap) Pop() any {
 // rarely late, makes most of its waits without a syscall.
 // A kernel wake changes nothing: on an idle process the kernel timer
 // always fires first and stays armed. The kernel timer is created when
-// the loop starts and closed when stop ends the loop.
+// the loop starts and closed when the loop ends.
 //
 // The heap stays on container/heap. A typed, allocation-free heap was
 // measured: it bought no end-to-end throughput, and by shortening
@@ -63,6 +68,7 @@ type scheduler struct {
 
 	mu      sync.Mutex
 	h       deliveryHeap
+	users   int // attached transports
 	started bool
 	stopped bool
 
@@ -81,7 +87,8 @@ func newScheduler(deliver func(delivery)) *scheduler {
 }
 
 // schedule queues a delivery and wakes the loop if the new deadline
-// precedes the previous earliest one. After stop it drops d.
+// precedes the previous earliest one. After the last detach it drops
+// d.
 func (s *scheduler) schedule(d delivery) {
 	s.mu.Lock()
 	if s.stopped {
@@ -103,20 +110,31 @@ func (s *scheduler) schedule(d delivery) {
 	}
 }
 
-// stop terminates the loop and waits for it to exit; queued deliveries
-// are discarded. Safe to call more than once.
-func (s *scheduler) stop() {
+// attach registers one transport that schedules deliveries.
+func (s *scheduler) attach() {
 	s.mu.Lock()
-	first := !s.stopped
-	s.stopped = true
-	started := s.started
-	s.h = nil
+	s.users++
 	s.mu.Unlock()
-	if first {
-		close(s.done)
+}
+
+// detach undoes one attach. The last detach stops the scheduler for
+// good: it discards what is queued, ends the loop and waits for it to
+// exit.
+func (s *scheduler) detach() {
+	s.mu.Lock()
+	s.users--
+	last := s.users == 0 && !s.stopped
+	if last {
+		s.stopped = true
+		s.h = nil
 	}
-	if started {
-		<-s.exited
+	started := s.started
+	s.mu.Unlock()
+	if last {
+		close(s.done)
+		if started {
+			<-s.exited
+		}
 	}
 }
 

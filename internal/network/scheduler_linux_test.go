@@ -63,12 +63,14 @@ func TestKernelTimerFiresAndCloses(t *testing.T) {
 	}
 }
 
-// TestSchedulerStopDuringKernelWait: stop on a loop parked on a
-// far-off deadline, with its kernel timer armed and its reader parked
-// in the poller, returns and leaves neither goroutine nor the timerfd.
+// TestSchedulerStopDuringKernelWait: the last detach from a loop
+// parked on a far-off deadline, with its kernel timer armed and its
+// reader parked in the poller, returns and leaves neither goroutine
+// nor the timerfd.
 func TestSchedulerStopDuringKernelWait(t *testing.T) {
 	fds := openFDs(t)
 	s := newScheduler(func(delivery) {})
+	s.attach()
 	s.schedule(delivery{at: time.Now().Add(time.Hour)})
 	// The heap is never empty, so a loop parked in select is in its
 	// timed wait, past arming the kernel timer.
@@ -80,7 +82,7 @@ func TestSchedulerStopDuringKernelWait(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	s.stop()
+	s.detach()
 	if n := goroutinesWith("network.(*kernelTimer).read"); n != 0 {
 		t.Fatalf("%d kernel-timer readers left after stop", n)
 	}

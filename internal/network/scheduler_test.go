@@ -61,7 +61,8 @@ func TestSchedulerDrainsAllDue(t *testing.T) {
 		early = early || time.Now().Before(d.at)
 		mu.Unlock()
 	})
-	defer s.stop()
+	s.attach()
+	defer s.detach()
 	count := func() int {
 		mu.Lock()
 		defer mu.Unlock()
@@ -96,8 +97,9 @@ func TestSchedulerDrainsAllDue(t *testing.T) {
 	}
 }
 
-// TestSchedulerStopDiscardsAndJoins: stop drops what is queued, waits
-// for the loop to exit, and turns later schedules into no-ops.
+// TestSchedulerStopDiscardsAndJoins: the last detach drops what is
+// queued, waits for the loop to exit, and turns later schedules into
+// no-ops.
 func TestSchedulerStopDiscardsAndJoins(t *testing.T) {
 	var mu sync.Mutex
 	delivered := 0
@@ -106,20 +108,22 @@ func TestSchedulerStopDiscardsAndJoins(t *testing.T) {
 		delivered++
 		mu.Unlock()
 	})
+	s.attach()
+	s.attach()
 	s.schedule(delivery{at: time.Now().Add(50 * time.Millisecond)})
-	s.stop()
+	s.detach() // one transport is still attached
+	s.detach()
 	select {
 	case <-s.exited:
 	default:
-		t.Fatal("stop returned before the loop exited")
+		t.Fatal("the last detach returned before the loop exited")
 	}
-	s.stop()
 	s.schedule(delivery{at: time.Now()})
 	time.Sleep(80 * time.Millisecond)
 	mu.Lock()
 	defer mu.Unlock()
 	if delivered != 0 {
-		t.Fatalf("%d deliveries after stop", delivered)
+		t.Fatalf("%d deliveries after the last detach", delivered)
 	}
 }
 
@@ -127,8 +131,13 @@ func TestSchedulerStopDiscardsAndJoins(t *testing.T) {
 // has no goroutine to wait for.
 func TestSchedulerStopBeforeStart(t *testing.T) {
 	s := newScheduler(func(delivery) {})
-	s.stop()
-	s.stop()
+	s.attach()
+	s.detach()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.started {
+		t.Fatal("a loop started without a delivery")
+	}
 }
 
 // TestSchedulerOrdersDeliveries: messages with shorter delays arrive
@@ -274,7 +283,7 @@ func BenchmarkScheduleDeliver(b *testing.B) {
 // BenchmarkSwitchIdleHop measures one modelled hop on an otherwise idle
 // process, one message at a time, and reports the median as hop_us:
 // through the switch, and through a Conditioned shim (over a zero-delay
-// switch, so the shim's scheduler is the only delay). When every P is
+// switch, so the shim's condition model is the only delay). When every P is
 // idle the Go runtime sleeps in whole milliseconds, so a runtime timer
 // alone turns a 200 µs hop into about 1.1 ms; the scheduler's kernel
 // timer exists to remove that floor. CI's "Gate idle hop precision"
@@ -288,18 +297,56 @@ func BenchmarkSwitchIdleHop(b *testing.B) {
 				cond := NewConditions(1)
 				cond.SetBaseDelay(delay, 0)
 				src, dst := idleHopPair(b, path == "conditioned", cond)
-				hops := make([]time.Duration, 0, b.N)
-				for i := 0; i < b.N; i++ {
-					t0 := time.Now()
-					src.Send(2, benchVote)
-					<-dst.Inbox()
-					hops = append(hops, time.Since(t0))
-				}
-				sort.Slice(hops, func(i, j int) bool { return hops[i] < hops[j] })
-				b.ReportMetric(float64(hops[len(hops)/2].Nanoseconds())/1e3, "hop_us")
+				reportMedianHop(b, src, dst, 0)
 			})
 		}
 	}
+}
+
+// BenchmarkTCPIdleHop measures one modelled hop between two loopback
+// TCP transports through the condition model, one message at a time on
+// an otherwise idle process, and reports the median as hop_us. A 1 ms
+// pause before each hop lets every thread go idle, as at a low load
+// rung; back to back, the 0 µs hop reads far less. The 0 µs case is
+// the bare loopback hop the TCP backend adds to every
+// modelled delay — mostly thread wake-ups in the writer, the kernel
+// and the reader, not the model. CI prints it beside the idle-hop gate
+// and does not gate it (see docs/observability.md).
+func BenchmarkTCPIdleHop(b *testing.B) {
+	for _, delay := range []time.Duration{0, 200 * time.Microsecond, 500 * time.Microsecond} {
+		b.Run(fmt.Sprintf("delay=%dus", delay.Microseconds()), func(b *testing.B) {
+			cond := NewConditions(1)
+			a, d := newTCPPair(b)
+			replicas := []types.NodeID{1, 2}
+			src, dst := Condition(a, cond, replicas), Condition(d, cond, replicas)
+			b.Cleanup(func() {
+				_ = src.Close()
+				_ = dst.Close()
+			})
+			// The first send dials; keep the dial out of the sample.
+			src.Send(2, benchVote)
+			<-dst.Inbox()
+			cond.SetBaseDelay(delay, 0)
+			reportMedianHop(b, src, dst, time.Millisecond)
+		})
+	}
+}
+
+// reportMedianHop times b.N single-message hops from src to node 2's
+// dst, each after an untimed pause, and reports the median as hop_us.
+func reportMedianHop(b *testing.B, src, dst Transport, pause time.Duration) {
+	hops := make([]time.Duration, 0, b.N)
+	for i := 0; i < b.N; i++ {
+		if pause > 0 {
+			time.Sleep(pause)
+		}
+		t0 := time.Now()
+		src.Send(2, benchVote)
+		<-dst.Inbox()
+		hops = append(hops, time.Since(t0))
+	}
+	sort.Slice(hops, func(i, j int) bool { return hops[i] < hops[j] })
+	b.ReportMetric(float64(hops[len(hops)/2].Nanoseconds())/1e3, "hop_us")
 }
 
 // idleHopPair returns the sender (node 1) and receiver (node 2) of one

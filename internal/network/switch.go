@@ -3,7 +3,6 @@ package network
 import (
 	"errors"
 	"sync"
-	"time"
 
 	"github.com/bamboo-bft/bamboo/internal/metrics"
 	"github.com/bamboo-bft/bamboo/internal/types"
@@ -19,13 +18,9 @@ var ErrClosed = errors.New("network: endpoint closed")
 
 // Switch is the in-process network: a set of endpoints exchanging
 // messages through buffered channels, with delivery fate and timing
-// decided by a Conditions model. It is safe for concurrent use.
-//
-// Delayed deliveries run through one scheduler goroutine with a
-// deadline heap rather than one runtime timer per message: at
-// consensus message rates (10⁵/s) per-message timers overwhelm small
-// hosts and their firing jitter would distort the very delays being
-// modeled.
+// decided by a Conditions model. Delayed messages wait on the model's
+// delivery scheduler (see Conditions.route), which hands them back to
+// the switch at their deadlines. It is safe for concurrent use.
 type Switch struct {
 	cond *Conditions
 
@@ -33,7 +28,7 @@ type Switch struct {
 	endpoints map[types.NodeID]*Endpoint
 	replicas  []types.NodeID // broadcast domain, sorted by insertion
 
-	sched *scheduler
+	closeOnce sync.Once
 
 	// Counters for message-complexity reporting.
 	msgsSent  metrics.Counter
@@ -47,18 +42,19 @@ func NewSwitch(cond *Conditions) *Switch {
 	if cond == nil {
 		cond = NewConditions(0)
 	}
-	s := &Switch{
+	cond.sched.attach()
+	return &Switch{
 		cond:      cond,
 		endpoints: make(map[types.NodeID]*Endpoint),
 	}
-	s.sched = newScheduler(s.deliverDue)
-	return s
 }
 
-// Close stops the delivery scheduler and waits for it to exit; pending
-// delayed messages are dropped. Endpoints must not be used afterwards.
+// Close detaches the switch from its condition model; when nothing
+// else is attached, the model's scheduler stops and pending delayed
+// messages are dropped. Endpoints must not be used afterwards. Safe to
+// call more than once.
 func (s *Switch) Close() {
-	s.sched.stop()
+	s.closeOnce.Do(s.cond.sched.detach)
 }
 
 // Conditions exposes the switch's condition model for fault injection.
@@ -100,41 +96,9 @@ func (s *Switch) Stats() (msgs, bytes, dropped uint64) {
 	return s.msgsSent.Load(), s.bytesSent.Load(), s.dropped.Load()
 }
 
-// deliver routes one message, applying network conditions. One clock
-// reading serves both the judgement and the deadline.
-func (s *Switch) deliver(from, to types.NodeID, msg any) {
-	size := messageSize(msg)
-	now := time.Now()
-	v := s.cond.judge(from, to, size, now)
-	if v.drop {
-		s.dropped.Add(1)
-		return
-	}
-	if v.delay <= 0 {
-		s.enqueue(from, to, msg, size)
-		return
-	}
-	s.sched.schedule(delivery{
-		at:   now.Add(v.delay),
-		from: from,
-		to:   to,
-		msg:  msg,
-		size: size,
-	})
-}
-
-// deliverDue completes a scheduled delivery.
-func (s *Switch) deliverDue(d delivery) {
-	// Re-check crash state at delivery time so a node that crashed
-	// mid-flight does not receive late messages.
-	if s.cond.IsCrashed(d.to) {
-		s.dropped.Add(1)
-		return
-	}
-	s.enqueue(d.from, d.to, d.msg, d.size)
-}
-
-func (s *Switch) enqueue(from, to types.NodeID, msg any, size int) {
+// handOff puts a message the model let through into the
+// destination's inbox.
+func (s *Switch) handOff(from, to types.NodeID, msg any, size int) {
 	s.mu.RLock()
 	ep, ok := s.endpoints[to]
 	s.mu.RUnlock()
@@ -153,6 +117,9 @@ func (s *Switch) enqueue(from, to types.NodeID, msg any, size int) {
 		s.dropped.Add(1)
 	}
 }
+
+// drop counts a message the model dropped.
+func (s *Switch) drop() { s.dropped.Add(1) }
 
 // Endpoint is one node's attachment to the switch.
 type Endpoint struct {
@@ -173,7 +140,7 @@ func (e *Endpoint) Send(to types.NodeID, msg any) {
 		return
 	default:
 	}
-	e.sw.deliver(e.id, to, msg)
+	e.sw.cond.route(e.sw, e.id, to, msg)
 }
 
 // Broadcast implements Transport: the message goes to every replica
@@ -194,7 +161,7 @@ func (e *Endpoint) Broadcast(msg any) {
 	}
 	e.sw.mu.RUnlock()
 	for _, id := range targets {
-		e.sw.deliver(e.id, id, msg)
+		e.sw.cond.route(e.sw, e.id, id, msg)
 	}
 }
 

@@ -254,10 +254,17 @@ func (t *TCP) Send(to types.NodeID, msg any) {
 	}
 }
 
-// getPeer returns (creating if needed) the peer's queue and writer.
+// getPeer returns (creating if needed) the peer's queue and writer,
+// or nil once Close has begun, so no writer starts after Close has
+// counted the ones to wait for.
 func (t *TCP) getPeer(to types.NodeID) *tcpPeer {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	select {
+	case <-t.done:
+		return nil
+	default:
+	}
 	peer, ok := t.peers[to]
 	if !ok {
 		if _, known := t.addrs[to]; !known {
@@ -438,7 +445,9 @@ func (t *TCP) Stats() TransportStats {
 // inbox so consumers see end-of-stream. Safe to call more than once.
 func (t *TCP) Close() error {
 	t.closeOnce.Do(func() {
+		t.mu.Lock()
 		close(t.done)
+		t.mu.Unlock()
 		t.cancel()
 		t.closeErr = t.listener.Close()
 		for _, c := range t.liveConns() {

@@ -16,7 +16,7 @@ import (
 
 // newTCPPair stands up two wired transports on loopback ephemeral
 // ports.
-func newTCPPair(t *testing.T) (*TCP, *TCP) {
+func newTCPPair(t testing.TB) (*TCP, *TCP) {
 	t.Helper()
 	a, err := NewTCP(1, map[types.NodeID]string{1: "127.0.0.1:0", 2: ""})
 	if err != nil {
@@ -59,8 +59,8 @@ func recvSync(t *testing.T, tr *TCP, want uint64, send func()) Envelope {
 }
 
 // goroutineLeaks lists stacks of still-running network goroutines
-// (accept/read/write loops, conditioned pumps, delay schedulers and
-// their kernel-timer readers) after polling for up to two seconds —
+// (accept/read/write loops, delay schedulers and their kernel-timer
+// readers) after polling for up to two seconds —
 // the goleak-style accounting the Stop/Close tests rely on.
 func goroutineLeaks(t *testing.T) []string {
 	t.Helper()
@@ -68,7 +68,6 @@ func goroutineLeaks(t *testing.T) []string {
 		"network.(*TCP).acceptLoop",
 		"network.(*TCP).readLoop",
 		"network.(*TCP).writeLoop",
-		"network.(*Conditioned).pump",
 		"network.(*scheduler).run",
 		"network.(*kernelTimer).read",
 	}

@@ -159,8 +159,9 @@ func (p *Pacemaker) TimeoutCount(view types.View) int {
 // /metrics exposition's bamboo_pacemaker_timeouts_fired_total).
 func (p *Pacemaker) TimeoutsFired() uint64 { return p.fired.Load() }
 
-// PendingTimeoutSets reports live timeout aggregation sets (leak
-// detection in long-running tests).
+// PendingTimeoutSets reports live timeout aggregation sets: the
+// replica's bamboo_pending_timeout_sets gauge, and leak detection in
+// long-running tests.
 func (p *Pacemaker) PendingTimeoutSets() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
