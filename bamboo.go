@@ -177,10 +177,10 @@ const (
 // WorkloadAccount returns the store key of kvbank account i.
 func WorkloadAccount(i int) string { return workload.Account(i) }
 
-// Leader-election modes for Experiment.Election.
+// Leader-election modes for Config.Election.
 const (
-	ElectionRoundRobin = harness.ElectionRoundRobin
-	ElectionHashed     = harness.ElectionHashed
+	ElectionRoundRobin = config.ElectionRoundRobin
+	ElectionHashed     = config.ElectionHashed
 )
 
 // Deployment backends for Experiment.Backend: the in-process channel

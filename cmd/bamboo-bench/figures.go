@@ -340,7 +340,7 @@ func ablationFanout(scale float64, seed int64) []harness.Experiment {
 // transaction waits longer for its home replica's turn.
 func ablationElection(scale float64, seed int64) []harness.Experiment {
 	rr, hashed := ablation("ablation-election", scale, seed), ablation("ablation-election", scale, seed)
-	rr.Election, hashed.Election = harness.ElectionRoundRobin, harness.ElectionHashed
+	rr.Config.Election, hashed.Config.Election = config.ElectionRoundRobin, config.ElectionHashed
 	return []harness.Experiment{rr, hashed}
 }
 

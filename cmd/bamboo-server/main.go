@@ -36,12 +36,9 @@ import (
 	"github.com/bamboo-bft/bamboo/internal/crypto"
 	"github.com/bamboo-bft/bamboo/internal/httpapi"
 	"github.com/bamboo-bft/bamboo/internal/kvstore"
-	"github.com/bamboo-bft/bamboo/internal/ledger"
 	"github.com/bamboo-bft/bamboo/internal/network"
 	"github.com/bamboo-bft/bamboo/internal/protocol"
-	"github.com/bamboo-bft/bamboo/internal/snapshot"
 	"github.com/bamboo-bft/bamboo/internal/types"
-	"github.com/bamboo-bft/bamboo/internal/wal"
 )
 
 func main() {
@@ -57,7 +54,7 @@ func run() error {
 		id         = flag.Uint("id", 0, "this replica's node ID (key into the address map)")
 		httpAddr   = flag.String("http", "", "address for the RESTful client API (empty disables)")
 		ledgerPath = flag.String("ledger", "",
-			"ledger file for the committed chain (default bamboo-replica-<id>.ledger; \"none\" disables persistence and with it deep catch-up serving and restart replay). Beside it live <ledger>.snap, the latest state snapshot (taken every snapshotInterval committed heights per the configuration; it compacts the ledger prefix it covers and serves O(state) catch-up), and <ledger>.wal, the safety WAL (last-voted view, lock, highQC and current view, fsync'd before any vote or timeout leaves the node, so a SIGKILLed replica can never vote twice in one view). A restarted replica rejoining the SAME chain reuses the three files: on startup it replays snapshot + ledger into forest and state machine before joining, then state-syncs only the tail it missed while down. A fresh deployment needs a fresh path (blocks from another chain are never served, but they occupy the file)")
+			"ledger file for the committed chain (default bamboo-replica-<id>.ledger; \"none\" disables persistence and with it deep catch-up serving and restart replay). The safety WAL (fsync'd before any vote or timeout leaves the node) lives at <ledger>.wal and the latest state snapshot (taken every snapshotInterval committed heights) at <ledger>.snap. A restarted replica rejoining the SAME chain reuses the three files: on startup it replays snapshot + ledger into forest and state machine before joining, then state-syncs only the tail it missed while down. A fresh deployment needs a fresh path (blocks from another chain are never served, but they occupy the file)")
 	)
 	flag.Parse()
 	if *id == 0 {
@@ -105,60 +102,33 @@ func run() error {
 	sort.Slice(replicas, func(i, j int) bool { return replicas[i] < replicas[j] })
 	cond := network.ConditionsFor(cfg)
 	shim := network.Condition(transport, cond, replicas)
+	store := kvstore.New()
+	opts := core.Options{
+		Execute: store.Apply,
+		State:   store,
+		OnViolation: func(err error) {
+			log.Printf("SAFETY VIOLATION: %v", err)
+		},
+	}
 	// Persist the committed chain by default: the ledger is both the
 	// crash-recovery record and what this replica serves deep
 	// catch-up ranges from when a peer falls past the keep window.
 	// The snapshot store rides along: periodic state snapshots
 	// compact the ledger, serve O(state) catch-up, and make restart
 	// replay O(gap) instead of O(chain).
-	var led *ledger.Ledger
-	var snaps *snapshot.Store
-	var safetyWAL *wal.WAL
 	if *ledgerPath != "none" {
 		path := *ledgerPath
 		if path == "" {
 			path = fmt.Sprintf("bamboo-replica-%d.ledger", *id)
 		}
-		// Unbuffered, deliberately: a server's crash story is the
-		// process dying (SIGKILL from a supervisor, OOM), and surviving
-		// that only needs each record written to the kernel — which
-		// the buffered ledger withholds for up to 64KiB. Page-cache
-		// durability costs one write syscall per commit and makes
-		// restart replay reflect every height the replica reported
-		// committed. (Machine-crash durability would need fsync and is
-		// a different trade; see ROADMAP.)
-		led, err = ledger.Open(path)
+		st, err := core.OpenStores(path, core.DurabilitySynced, true)
 		if err != nil {
 			return err
 		}
-		defer func() { _ = led.Close() }()
-		snaps, err = snapshot.OpenStore(path + ".snap")
-		if err != nil {
-			return err
-		}
-		// Fsync'd, unlike the ledger's page-cache durability: the WAL
-		// holds the promises this replica made to its peers (the views
-		// it signed), and a vote that outlives the machine while its
-		// record does not is an equivocation waiting for a restart.
-		// It is a few hundred bytes per vote — the cheap end of the
-		// durability budget.
-		safetyWAL, err = wal.Open(path + ".wal")
-		if err != nil {
-			return err
-		}
-		defer func() { _ = safetyWAL.Close() }()
+		defer func() { _ = st.Close() }()
+		opts.Ledger, opts.WAL, opts.Snapshots = st.Ledger, st.WAL, st.Snapshots
 	}
-	store := kvstore.New()
-	node := core.NewNode(self, cfg, factory, shim, scheme, core.Options{
-		Execute:   store.Apply,
-		Ledger:    led,
-		State:     store,
-		Snapshots: snaps,
-		WAL:       safetyWAL,
-		OnViolation: func(err error) {
-			log.Printf("SAFETY VIOLATION: %v", err)
-		},
-	})
+	node := core.NewNode(self, cfg, factory, shim, scheme, opts)
 
 	var httpSrv *http.Server
 	var api *httpapi.Server

@@ -18,15 +18,11 @@ import (
 	"github.com/bamboo-bft/bamboo/internal/config"
 	"github.com/bamboo-bft/bamboo/internal/core"
 	"github.com/bamboo-bft/bamboo/internal/crypto"
-	"github.com/bamboo-bft/bamboo/internal/election"
 	"github.com/bamboo-bft/bamboo/internal/kvstore"
-	"github.com/bamboo-bft/bamboo/internal/ledger"
 	"github.com/bamboo-bft/bamboo/internal/metrics"
 	"github.com/bamboo-bft/bamboo/internal/network"
 	"github.com/bamboo-bft/bamboo/internal/protocol"
-	"github.com/bamboo-bft/bamboo/internal/snapshot"
 	"github.com/bamboo-bft/bamboo/internal/types"
-	"github.com/bamboo-bft/bamboo/internal/wal"
 )
 
 // clientIDBase offsets client endpoint IDs above any replica ID.
@@ -55,13 +51,10 @@ type Options struct {
 	WithStores bool
 	// OnViolation is invoked on any replica's safety violation.
 	OnViolation func(error)
-	// Elector overrides leader election for every replica (e.g.
-	// hash-based election, the Section V-E design choice); nil uses
-	// the configuration's default (round-robin, or static master).
-	Elector election.Elector
 	// LedgerDir, when set, gives every replica a persistent ledger
-	// file (<dir>/replica-<id>.ledger) of its committed chain. When
-	// empty, a temporary directory is created and removed on Stop:
+	// file (<dir>/replica-<id>.ledger) of its committed chain, with
+	// its safety WAL and snapshot store beside it (core.OpenStores).
+	// When empty, a temporary directory is created and removed on Stop:
 	// the ledger doubles as the serving store for deep state sync
 	// (catch-up past the forest keep window), so replicas get one by
 	// default.
@@ -71,13 +64,14 @@ type Options struct {
 	// replica isolated past it cannot recover, and no safety WAL is
 	// kept (in-process restarts keep the node's memory anyway).
 	DisableLedger bool
-	// UnbufferedLedger opens each replica's ledger with plain Open
-	// instead of OpenBuffered: every append reaches the file before
-	// the commit path moves on, the same durability bamboo-server
-	// runs with. The buffered default is faster but holds a tail of
-	// committed records in memory — exactly the tail a CrashAt loses
-	// on the fleet backend; set this when a switch/tcp scenario must
-	// model the on-disk footprint a real process crash leaves.
+	// UnbufferedLedger opens each replica's stores with
+	// core.DurabilityWriteThrough instead of DurabilityBuffered: every
+	// ledger append reaches the file before the commit path moves on,
+	// the ledger durability bamboo-server runs with. The buffered
+	// default is faster but holds a tail of committed records in
+	// memory — exactly the tail a CrashAt loses on the fleet backend;
+	// set this when a switch/tcp scenario must model the on-disk
+	// footprint a real process crash leaves.
 	UnbufferedLedger bool
 }
 
@@ -97,10 +91,11 @@ type Cluster struct {
 	scheme   crypto.Scheme
 	nodes    map[types.NodeID]*core.Node
 	stores   map[types.NodeID]*kvstore.Store
-	ledgers  []*ledger.Ledger
-	wals     []*wal.WAL
-	clients  []*client.Client
-	nextCli  uint64
+	// durable holds each persistent replica's ledger, WAL and
+	// snapshot store, in replica order.
+	durable []*core.Stores
+	clients []*client.Client
+	nextCli uint64
 	// tmpLedgerDir is the auto-created ledger directory, removed on
 	// Stop; empty when the caller supplied LedgerDir (or disabled
 	// persistence).
@@ -142,13 +137,17 @@ func New(cfg config.Config, opts Options) (*Cluster, error) {
 	default:
 		return nil, fmt.Errorf("cluster: unknown backend %q", opts.Backend)
 	}
+	fail := func(err error) (*Cluster, error) {
+		c.release()
+		return nil, err
+	}
 	withStores := opts.WithStores
 	if cfg.SnapshotInterval > 0 {
 		// Snapshots serialize the kvstore and compact the ledger the
 		// snapshot covers: both halves must exist for the interval to
 		// mean anything.
 		if opts.DisableLedger {
-			return nil, errors.New("cluster: snapshot interval needs the ledger enabled")
+			return fail(errors.New("cluster: snapshot interval needs the ledger enabled"))
 		}
 		withStores = true
 	}
@@ -160,28 +159,14 @@ func New(cfg config.Config, opts Options) (*Cluster, error) {
 		// catch-up closes).
 		dir, err := os.MkdirTemp("", "bamboo-ledger-")
 		if err != nil {
-			return nil, fmt.Errorf("cluster: ledger dir: %w", err)
+			return fail(fmt.Errorf("cluster: ledger dir: %w", err))
 		}
 		c.tmpLedgerDir = dir
 		ledgerDir = dir
 	}
-	fail := func(err error) (*Cluster, error) {
-		for _, led := range c.ledgers {
-			_ = led.Close()
-		}
-		for _, w := range c.wals {
-			_ = w.Close()
-		}
-		if c.sw != nil {
-			c.sw.Close()
-		}
-		for _, sh := range c.shims {
-			_ = sh.Close()
-		}
-		if c.tmpLedgerDir != "" {
-			_ = os.RemoveAll(c.tmpLedgerDir)
-		}
-		return nil, err
+	durability := core.DurabilityBuffered
+	if opts.UnbufferedLedger {
+		durability = core.DurabilityWriteThrough
 	}
 	for i := 1; i <= cfg.N; i++ {
 		id := types.NodeID(i)
@@ -195,7 +180,7 @@ func New(cfg config.Config, opts Options) (*Cluster, error) {
 		} else {
 			ep = c.shims[id]
 		}
-		nodeOpts := core.Options{OnViolation: opts.OnViolation, Elector: opts.Elector}
+		nodeOpts := core.Options{OnViolation: opts.OnViolation}
 		if withStores {
 			store := kvstore.New()
 			c.stores[id] = store
@@ -207,37 +192,16 @@ func New(cfg config.Config, opts Options) (*Cluster, error) {
 			nodeOpts.State = store
 		}
 		if ledgerDir != "" {
-			openLedger := ledger.OpenBuffered
-			if opts.UnbufferedLedger {
-				openLedger = ledger.Open
-			}
-			led, err := openLedger(
-				filepath.Join(ledgerDir, fmt.Sprintf("replica-%d.ledger", i)))
-			if err != nil {
-				return fail(err)
-			}
-			nodeOpts.Ledger = led
-			c.ledgers = append(c.ledgers, led)
 			// The safety WAL rides alongside the ledger: votes and
 			// locks survive a restart over a reused LedgerDir, so
-			// bootstrap can re-commit the full ledger with no
-			// holdback. In-process "crashes" never take the page
-			// cache with them, so the no-sync mode suffices.
-			w, err := wal.OpenNoSync(
-				filepath.Join(ledgerDir, fmt.Sprintf("replica-%d.wal", i)))
+			// bootstrap can re-commit the full ledger with no holdback.
+			st, err := core.OpenStores(filepath.Join(ledgerDir, fmt.Sprintf("replica-%d.ledger", i)),
+				durability, withStores)
 			if err != nil {
 				return fail(err)
 			}
-			nodeOpts.WAL = w
-			c.wals = append(c.wals, w)
-			if withStores {
-				snaps, err := snapshot.OpenStore(
-					filepath.Join(ledgerDir, fmt.Sprintf("replica-%d.snap", i)))
-				if err != nil {
-					return fail(err)
-				}
-				nodeOpts.Snapshots = snaps
-			}
+			c.durable = append(c.durable, st)
+			nodeOpts.Ledger, nodeOpts.WAL, nodeOpts.Snapshots = st.Ledger, st.WAL, st.Snapshots
 		}
 		c.nodes[id] = core.NewNode(id, cfg, factory, ep, scheme, nodeOpts)
 	}
@@ -315,25 +279,28 @@ func (c *Cluster) Stop() {
 		for _, n := range c.nodes {
 			n.Stop()
 		}
-		if c.sw != nil {
-			c.sw.Close()
-		}
-		for _, sh := range c.shims {
-			_ = sh.Close()
-		}
-		for _, led := range c.ledgers {
-			_ = led.Close()
-		}
-		c.ledgers = nil
-		for _, w := range c.wals {
-			_ = w.Close()
-		}
-		c.wals = nil
-		if c.tmpLedgerDir != "" {
-			_ = os.RemoveAll(c.tmpLedgerDir)
-			c.tmpLedgerDir = ""
-		}
+		c.release()
 	})
+}
+
+// release closes the transports — the switch, or every replica's shim
+// with its TCP listener and connections — then every replica's stores,
+// and removes an auto-created ledger directory.
+func (c *Cluster) release() {
+	if c.sw != nil {
+		c.sw.Close()
+	}
+	for _, sh := range c.shims {
+		_ = sh.Close()
+	}
+	for _, st := range c.durable {
+		_ = st.Close()
+	}
+	c.durable = nil
+	if c.tmpLedgerDir != "" {
+		_ = os.RemoveAll(c.tmpLedgerDir)
+		c.tmpLedgerDir = ""
+	}
 }
 
 // Node returns a replica by ID.

@@ -38,9 +38,9 @@ func TestStopBeforeStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir, ledgers, wals := c.tmpLedgerDir, c.ledgers, c.wals
-	if dir == "" || len(ledgers) == 0 || len(wals) == 0 {
-		t.Fatalf("cluster has dir %q, %d ledgers, %d wals; want all present", dir, len(ledgers), len(wals))
+	dir, durable := c.tmpLedgerDir, c.durable
+	if dir == "" || len(durable) != c.cfg.N {
+		t.Fatalf("cluster has dir %q and stores for %d replicas; want a dir and %d", dir, len(durable), c.cfg.N)
 	}
 	stopped := make(chan struct{})
 	go func() {
@@ -55,13 +55,11 @@ func TestStopBeforeStart(t *testing.T) {
 	if _, err := os.Stat(dir); !os.IsNotExist(err) {
 		t.Fatalf("temporary ledger dir %s survives Stop (stat err %v)", dir, err)
 	}
-	for _, l := range ledgers {
-		if err := l.AppendCertified(&types.Block{View: 1}, 1, nil); err == nil {
+	for _, st := range durable {
+		if err := st.Ledger.AppendCertified(&types.Block{View: 1}, 1, nil); err == nil {
 			t.Fatal("a ledger is still open after Stop")
 		}
-	}
-	for _, w := range wals {
-		if err := w.Append(wal.Record{CurView: 1}); err == nil {
+		if err := st.WAL.Append(wal.Record{CurView: 1}); err == nil {
 			t.Fatal("a WAL is still open after Stop")
 		}
 	}

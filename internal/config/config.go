@@ -31,6 +31,12 @@ const (
 	ProtocolOHS          = "ohs"
 )
 
+// Leader-election modes accepted by Config.Election.
+const (
+	ElectionRoundRobin = "round-robin"
+	ElectionHashed     = "hashed"
+)
+
 // Config collects every tunable of a run. Field comments cite the
 // corresponding Table I parameter where one exists.
 type Config struct {
@@ -50,6 +56,12 @@ type Config struct {
 	// Master pins a static leader; 0 means rotating leaders
 	// (Table I "master").
 	Master types.NodeID `json:"master"`
+
+	// Election selects how rotating leaders are chosen: "" or
+	// "round-robin" rotates through 1..N, "hashed" elects the leader
+	// of each view pseudo-randomly from a hash of (Seed, view), the
+	// design choice of Section V-E. It cannot be combined with Master.
+	Election string `json:"election,omitempty"`
 
 	// Strategy is the Byzantine strategy run by Byzantine nodes
 	// (Table I "strategy"; default silence).
@@ -95,7 +107,7 @@ type Config struct {
 	Concurrency int `json:"concurrency"`
 
 	// CryptoScheme selects vote/block authentication: "ed25519"
-	// (default), "hmac", or "noop" (benchmarks only).
+	// (default) or "hmac".
 	CryptoScheme string `json:"crypto"`
 
 	// Seed drives deterministic key generation and workload
@@ -236,6 +248,15 @@ func (c *Config) Validate() error {
 	}
 	if int(c.Master) > c.N {
 		return fmt.Errorf("config: master %d out of range for n=%d", c.Master, c.N)
+	}
+	switch c.Election {
+	case "", ElectionRoundRobin:
+	case ElectionHashed:
+		if c.Master != 0 {
+			return fmt.Errorf("config: hashed election rotates leaders, master %d pins one", c.Master)
+		}
+	default:
+		return fmt.Errorf("config: unknown election %q", c.Election)
 	}
 	if c.ForestKeep != 0 && c.ForestKeep < 8 {
 		return fmt.Errorf("config: forest keep window %d below minimum 8", c.ForestKeep)

@@ -92,6 +92,8 @@ func TestValidateRejections(t *testing.T) {
 		{"negative mempool", func(c *Config) { c.MemSize = -1 }},
 		{"negative concurrency", func(c *Config) { c.Concurrency = -1 }},
 		{"master out of range", func(c *Config) { c.Master = 9 }},
+		{"unknown election", func(c *Config) { c.Election = "sortition" }},
+		{"hashed election with master", func(c *Config) { c.Election, c.Master = ElectionHashed, 2 }},
 		{"forest keep below minimum", func(c *Config) { c.ForestKeep = 7 }},
 		{"negative forest keep", func(c *Config) { c.ForestKeep = -1 }},
 		{"negative snapshot interval", func(c *Config) { c.SnapshotInterval = -1 }},
@@ -190,6 +192,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	c.Protocol = ProtocolStreamlet
 	c.BlockSize = 800
 	c.Delay = 5 * time.Millisecond
+	c.Election = ElectionHashed
 	if err := c.Save(path); err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +200,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.N != 8 || got.Protocol != ProtocolStreamlet || got.BlockSize != 800 || got.Delay != 5*time.Millisecond {
+	if got.N != 8 || got.Protocol != ProtocolStreamlet || got.BlockSize != 800 || got.Delay != 5*time.Millisecond ||
+		got.Election != ElectionHashed {
 		t.Fatalf("round trip mismatch: %+v", got)
 	}
 }

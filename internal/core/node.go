@@ -46,9 +46,6 @@ type Options struct {
 	// commit conflicting with the committed chain. Tests use it to
 	// assert safety; production deployments would page someone.
 	OnViolation func(error)
-	// Elector overrides leader election (defaults to round-robin,
-	// or static when cfg.Master is set).
-	Elector election.Elector
 	// Ledger, if non-nil, receives every committed block — the
 	// persistent storage the paper's garbage-collection note assumes —
 	// and Start replays it, over the latest snapshot, before the
@@ -213,13 +210,14 @@ func NewNode(id types.NodeID, cfg config.Config, factory safety.Factory,
 			rules = attack.NewEquivocate(rules, id)
 		}
 	}
-	elect := opts.Elector
-	if elect == nil {
-		if cfg.Master != 0 {
-			elect = election.NewStatic(cfg.Master)
-		} else {
-			elect = election.NewRoundRobin(cfg.N)
-		}
+	var elect election.Elector
+	switch {
+	case cfg.Master != 0:
+		elect = election.NewStatic(cfg.Master)
+	case cfg.Election == config.ElectionHashed:
+		elect = election.NewHashed(cfg.N, cfg.Seed)
+	default:
+		elect = election.NewRoundRobin(cfg.N)
 	}
 	pool := mempool.New(cfg.MemSize)
 	n := &Node{

@@ -2,7 +2,7 @@
 // votes, blocks, and timeouts, plus helpers to verify quorum and
 // timeout certificates.
 //
-// Three schemes are available:
+// Two schemes are available:
 //
 //   - Ed25519: real asymmetric signatures (the default; the paper uses
 //     secp256k1, which is not in the Go standard library — Ed25519 has
@@ -12,7 +12,6 @@
 //     benchmarks where per-replica asymmetric verification would
 //     measure the host CPU rather than the protocols. Not
 //     Byzantine-authentic (insiders share the key) — benchmarking only.
-//   - Noop: no authentication; isolates pure protocol-logic cost.
 //
 // All replicas in a run share one scheme, so protocol comparisons stay
 // apples-to-apples regardless of the choice.
@@ -77,7 +76,7 @@ var (
 // Scheme signs and verifies digests on behalf of node identities.
 // Implementations must be safe for concurrent use.
 type Scheme interface {
-	// Name identifies the scheme ("ed25519", "hmac", "noop") for
+	// Name identifies the scheme ("ed25519", "hmac") for
 	// configuration and bench reporting.
 	Name() string
 	// Sign produces signer's signature over digest. It fails if
@@ -98,7 +97,7 @@ type BatchItem struct {
 // BatchScheme is implemented by schemes with a batch equation: one
 // check of many signatures, cheaper than checking them one by one,
 // that returns nil only when every item is valid. Ed25519 has one;
-// HMAC and Noop do not, and their signatures are checked singly.
+// HMAC does not, and its signatures are checked singly.
 type BatchScheme interface {
 	VerifyBatch(items []BatchItem) error
 }
@@ -112,8 +111,6 @@ func NewScheme(name string, n int, seed int64) (Scheme, error) {
 		return NewEd25519(n, seed), nil
 	case "hmac":
 		return NewHMAC(seed), nil
-	case "noop":
-		return Noop{}, nil
 	default:
 		return nil, fmt.Errorf("crypto: unknown scheme %q", name)
 	}

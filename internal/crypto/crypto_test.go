@@ -13,7 +13,6 @@ func schemes(t *testing.T) map[string]Scheme {
 	return map[string]Scheme{
 		"ed25519": NewEd25519(4, 1),
 		"hmac":    NewHMAC(1),
-		"noop":    Noop{},
 	}
 }
 
@@ -36,9 +35,6 @@ func TestVerifyRejectsTamper(t *testing.T) {
 	digest := types.SigningDigest(3, types.Hash{7})
 	other := types.SigningDigest(4, types.Hash{7})
 	for name, s := range schemes(t) {
-		if name == "noop" {
-			continue // noop accepts everything by design
-		}
 		t.Run(name, func(t *testing.T) {
 			sig, err := s.Sign(1, digest)
 			if err != nil {
@@ -100,7 +96,7 @@ func TestEd25519UnknownSigner(t *testing.T) {
 }
 
 func TestNewSchemeFactory(t *testing.T) {
-	for _, name := range []string{"", "ed25519", "hmac", "noop"} {
+	for _, name := range []string{"", "ed25519", "hmac"} {
 		if _, err := NewScheme(name, 4, 1); err != nil {
 			t.Fatalf("NewScheme(%q): %v", name, err)
 		}
@@ -261,7 +257,7 @@ func TestHMACNoCrossAttributionQuick(t *testing.T) {
 func BenchmarkSign(b *testing.B) {
 	digest := types.SigningDigest(3, types.Hash{7})
 	for name, s := range map[string]Scheme{
-		"ed25519": NewEd25519(4, 1), "hmac": NewHMAC(1), "noop": Noop{},
+		"ed25519": NewEd25519(4, 1), "hmac": NewHMAC(1),
 	} {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -276,7 +272,7 @@ func BenchmarkSign(b *testing.B) {
 func BenchmarkVerify(b *testing.B) {
 	digest := types.SigningDigest(3, types.Hash{7})
 	for name, s := range map[string]Scheme{
-		"ed25519": NewEd25519(4, 1), "hmac": NewHMAC(1), "noop": Noop{},
+		"ed25519": NewEd25519(4, 1), "hmac": NewHMAC(1),
 	} {
 		sig, err := s.Sign(1, digest)
 		if err != nil {

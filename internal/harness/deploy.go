@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"github.com/bamboo-bft/bamboo/internal/cluster"
-	"github.com/bamboo-bft/bamboo/internal/election"
 	"github.com/bamboo-bft/bamboo/internal/httpapi"
 	"github.com/bamboo-bft/bamboo/internal/metrics"
 	"github.com/bamboo-bft/bamboo/internal/types"
@@ -74,22 +73,18 @@ type inProcess struct {
 }
 
 func deployInProcess(exp Experiment) (deployment, time.Time, error) {
-	cfg := exp.Config
 	opts := cluster.Options{
 		Backend:       exp.Backend,
 		WithStores:    needStores(exp),
 		LedgerDir:     exp.LedgerDir,
 		DisableLedger: exp.DisableLedger,
 	}
-	if exp.Election == ElectionHashed {
-		opts.Elector = election.NewHashed(cfg.N, cfg.Seed)
-	}
 	d := &inProcess{fanout: exp.Measure.Fanout}
 	// The epoch is taken just before assembly (microseconds
 	// in-process): the fault offsets and the committed-rate buckets
 	// both count from it.
 	epoch := time.Now()
-	c, err := cluster.New(cfg, opts)
+	c, err := cluster.New(exp.Config, opts)
 	if err != nil {
 		return nil, epoch, err
 	}

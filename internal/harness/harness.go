@@ -24,12 +24,6 @@ import (
 	"github.com/bamboo-bft/bamboo/internal/workload"
 )
 
-// Election modes accepted by Experiment.Election.
-const (
-	ElectionRoundRobin = "round-robin"
-	ElectionHashed     = "hashed"
-)
-
 // Backend names accepted by Experiment.Backend.
 const (
 	BackendSwitch = cluster.BackendSwitch
@@ -63,10 +57,6 @@ type Experiment struct {
 	Faults FaultSchedule `json:"faults,omitempty"`
 	// Measure is the measurement plan.
 	Measure MeasurePlan `json:"measure"`
-	// Election selects leader election: "" or "round-robin" keeps the
-	// configuration's default, "hashed" uses hash-based pseudo-random
-	// election (the Section V-E design choice).
-	Election string `json:"election,omitempty"`
 	// Backend selects the deployment the scenario runs over: "" or
 	// "switch" for the in-process channel switch, "tcp" for one real
 	// loopback listener per replica, "fleet" for one bamboo-server OS
@@ -322,9 +312,12 @@ type Result struct {
 	Gini float64 `json:"gini"`
 }
 
-// Validate reports the first problem with the declared experiment.
-// Config validation happens at cluster assembly.
+// Validate reports the first problem with the declared experiment,
+// its configuration included.
 func (e *Experiment) Validate() error {
+	if err := e.Config.Validate(); err != nil {
+		return err
+	}
 	if err := e.Workload.Validate(); err != nil {
 		return err
 	}
@@ -346,11 +339,6 @@ func (e *Experiment) Validate() error {
 				return fmt.Errorf("harness: fault event %d names replica %s outside n=%d", i, id, e.Config.N)
 			}
 		}
-	}
-	switch e.Election {
-	case "", ElectionRoundRobin, ElectionHashed:
-	default:
-		return fmt.Errorf("harness: unknown election mode %q", e.Election)
 	}
 	if e.Backend != "" {
 		known := false
@@ -391,15 +379,10 @@ func (e *Experiment) Validate() error {
 	if len(e.Measure.Clients) > 0 && (len(e.Measure.Levels) > 0 || e.Measure.Concurrency > 0) {
 		return fmt.Errorf("harness: measure.clients fixes closed-loop concurrency at one in-flight request per client; drop measure.concurrency/measure.levels")
 	}
-	// The load-shaping extras that need in-process hooks are rejected
-	// on the fleet rather than silently degraded.
-	if e.Backend == BackendFleet {
-		switch {
-		case e.Measure.Fanout:
-			return fmt.Errorf("harness: fleet backend cannot fan out transactions (each server mints its own IDs)")
-		case e.Election == ElectionHashed:
-			return fmt.Errorf("harness: fleet backend runs the server's configured election only")
-		}
+	// Fan-out needs an in-process hook, so the fleet rejects it rather
+	// than silently degrading it.
+	if e.Backend == BackendFleet && e.Measure.Fanout {
+		return fmt.Errorf("harness: fleet backend cannot fan out transactions (each server mints its own IDs)")
 	}
 	return nil
 }

@@ -234,13 +234,12 @@ func TestValidateRejects(t *testing.T) {
 			e.Faults = FaultSchedule{PartitionAt(time.Second, map[types.NodeID]int{9: 1})}
 		}},
 		{"drop rate out of range", func(e *Experiment) { e.Faults = FaultSchedule{SetDropRateAt(0, 1.5)} }},
-		{"unknown election", func(e *Experiment) { e.Election = "sortition" }},
+		{"unknown election", func(e *Experiment) { e.Config.Election = "sortition" }},
 		{"non-positive level", func(e *Experiment) { e.Measure.Levels = []int{4, 0} }},
 		{"non-positive rate", func(e *Experiment) { e.Measure.Rates = []float64{100, -5} }},
 		// In-process-only load shaping is refused on the fleet when the
 		// scenario loads, not once its processes are already running.
 		{"fanout on fleet", func(e *Experiment) { e.Backend, e.Measure.Fanout = BackendFleet, true }},
-		{"hashed election on fleet", func(e *Experiment) { e.Backend, e.Election = BackendFleet, ElectionHashed }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

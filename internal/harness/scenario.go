@@ -41,9 +41,6 @@ func LoadExperiment(path string) (Experiment, error) {
 	if exp.Name == "" {
 		exp.Name = strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
 	}
-	if err := exp.Config.Validate(); err != nil {
-		return exp, fmt.Errorf("harness: scenario %s: %w", path, err)
-	}
 	if err := exp.Validate(); err != nil {
 		return exp, fmt.Errorf("harness: scenario %s: %w", path, err)
 	}

@@ -35,12 +35,6 @@ type Transport interface {
 	Close() error
 }
 
-// Sizer lets the switch charge bandwidth for a message; messages
-// without a size are charged a small fixed header cost.
-type Sizer interface {
-	Size() int
-}
-
 // TransportStats counts one endpoint's traffic. The TCP transport and
 // the Conditioned shim implement `Stats() TransportStats`; the switch
 // keeps switch-wide counters instead (Switch.Stats). Msgs and Bytes
@@ -77,13 +71,10 @@ func (s *TransportStats) Add(other TransportStats) {
 // counts when it writes the frame — so the switch's bandwidth model
 // and TransportStats agree between backends by construction instead
 // of by hand-maintained estimates. Unregistered values (test traffic,
-// extensions) fall back to Sizer or a fixed header cost.
+// extensions) are charged a fixed header cost.
 func messageSize(msg any) int {
 	if n, ok := codec.EncodedSize(msg); ok {
 		return n
-	}
-	if s, ok := msg.(Sizer); ok {
-		return s.Size()
 	}
 	return 64
 }

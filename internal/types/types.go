@@ -66,11 +66,6 @@ type Transaction struct {
 	SubmitUnixNano int64
 }
 
-// Size returns the wire-relevant size of the transaction in bytes:
-// identifier, timestamp, and payload. It is what the network layer
-// charges against link bandwidth.
-func (tx *Transaction) Size() int { return 24 + len(tx.Command) }
-
 // QC is a quorum certificate: proof that a quorum (2f+1 of n) of
 // replicas voted for the block identified by BlockID in View.
 // Signers[i] produced Sigs[i] over the (View, BlockID) pair.
@@ -235,23 +230,6 @@ func (b *Block) CarriesPayload() bool {
 		return b.PayloadDigest().IsZero()
 	}
 	return DigestPayload(b.Payload) == b.PayloadDigest()
-}
-
-// Size returns the approximate wire size of the block in bytes,
-// charged against link bandwidth by the network layer.
-func (b *Block) Size() int {
-	n := 8 + 4 + 32 + len(b.Sig) // header
-	if b.QC != nil {
-		n += 8 + 32
-		for _, s := range b.QC.Sigs {
-			n += 4 + len(s)
-		}
-		n += 4 * len(b.QC.Signers)
-	}
-	for i := range b.Payload {
-		n += b.Payload[i].Size()
-	}
-	return n
 }
 
 // String implements fmt.Stringer.

@@ -113,24 +113,6 @@ func TestGenesisStable(t *testing.T) {
 	}
 }
 
-func TestTransactionSize(t *testing.T) {
-	tx := Transaction{ID: TxID{1, 1}, Command: make([]byte, 128)}
-	if got := tx.Size(); got != 24+128 {
-		t.Fatalf("tx size = %d, want %d", got, 152)
-	}
-}
-
-func TestBlockSizeGrowsWithPayload(t *testing.T) {
-	small := &Block{View: 1, QC: GenesisQC()}
-	big := &Block{View: 1, QC: GenesisQC(), Payload: make([]Transaction, 100)}
-	for i := range big.Payload {
-		big.Payload[i] = Transaction{ID: TxID{1, uint64(i)}, Command: make([]byte, 64)}
-	}
-	if big.Size() <= small.Size() {
-		t.Fatal("block size must grow with payload")
-	}
-}
-
 // Property: distinct (view, block) pairs yield distinct signing
 // digests (collision would let a vote be replayed across views).
 func TestSigningDigestInjectiveQuick(t *testing.T) {
